@@ -2,10 +2,10 @@
 //! sweeps, with machine-readable output (`BENCH_lu_kernels.json`) for the
 //! CI regression gate:
 //!
-//! * compile-time lane dispatch (`solve_multi_lanes`) vs the runtime-width
-//!   interleaved kernel, on the logic-path Jacobian with one RHS per
-//!   mismatch parameter — gated on speedup *and* bit-identity to per-RHS
-//!   `solve_into`;
+//! * compile-time lane dispatch (`solve_multi_lanes`) vs a per-RHS
+//!   `solve_into` loop over the same interleaved block, on the logic-path
+//!   Jacobian with one RHS per mismatch parameter — gated on speedup *and*
+//!   bit-identity to that loop, which is also the correctness oracle;
 //! * Markowitz-ordered replay (`refactor`) vs a fresh analyze+factor —
 //!   gated on speedup and bit-identity of the solutions;
 //! * fill-in of the ordered vs natural factorizations on the DAC and
@@ -63,38 +63,43 @@ fn bitwise_diff(label: &str, a: &[f64], b: &[f64]) -> f64 {
 }
 
 struct LaneResult {
-    interleaved_s: f64,
+    per_rhs_s: f64,
     lanes_s: f64,
     speedup: f64,
     max_abs_diff: f64,
 }
 
-/// Lane dispatch vs runtime-width interleaved on one factor backend.
+/// Lane dispatch vs the per-RHS `solve_into` loop on one factor backend.
 fn bench_lanes(
     name: &str,
     n: usize,
     n_rhs: usize,
     budget_s: f64,
-    solve_into: &dyn Fn(&[f64], &mut [f64]),
-    interleaved: &mut dyn FnMut(&mut [f64], &mut [f64]),
+    solve_into: &mut dyn FnMut(&[f64], &mut [f64]),
     lanes: &mut dyn FnMut(&mut [f64], &mut [f64]),
 ) -> LaneResult {
     let mut rng = Rng64::seed_from(0xB10C5);
     let block0: Vec<f64> = (0..n * n_rhs).map(|_| 2.0 * rng.uniform() - 1.0).collect();
 
-    // Correctness gate first: lanes must match per-RHS solve_into bitwise.
-    let mut reference = vec![0.0; n * n_rhs];
+    // The per-RHS path: gather each RHS of the interleaved block, solve it
+    // alone, scatter the solution back.
     let mut b = vec![0.0; n];
     let mut out = vec![0.0; n];
-    for k in 0..n_rhs {
-        for r in 0..n {
-            b[r] = block0[r * n_rhs + k];
+    let mut per_rhs = |blk: &mut [f64]| {
+        for k in 0..n_rhs {
+            for r in 0..n {
+                b[r] = blk[r * n_rhs + k];
+            }
+            solve_into(&b, &mut out);
+            for r in 0..n {
+                blk[r * n_rhs + k] = out[r];
+            }
         }
-        solve_into(&b, &mut out);
-        for r in 0..n {
-            reference[r * n_rhs + k] = out[r];
-        }
-    }
+    };
+
+    // Correctness gate first: lanes must match per-RHS solve_into bitwise.
+    let mut reference = block0.clone();
+    per_rhs(&mut reference);
     let mut block = block0.clone();
     let mut scratch = vec![0.0; lanes_scratch_len(n, n_rhs)];
     lanes(&mut block, &mut scratch);
@@ -104,11 +109,10 @@ fn bench_lanes(
     // solve in place (output feeds the next input — the values shrink by
     // ~|A|⁻¹ per rep, staying far from denormal range over one sample).
     const REPS: usize = 64;
-    let mut iscratch = vec![0.0; n * n_rhs];
-    let itimes = bench_times(5, budget_s, || {
+    let ptimes = bench_times(5, budget_s, || {
         block.copy_from_slice(&block0);
         for _ in 0..REPS {
-            interleaved(&mut block, &mut iscratch);
+            per_rhs(&mut block);
         }
     });
     let ltimes = bench_times(5, budget_s, || {
@@ -117,16 +121,16 @@ fn bench_lanes(
             lanes(&mut block, &mut scratch);
         }
     });
-    let interleaved_s = median(&itimes) / REPS as f64;
+    let per_rhs_s = median(&ptimes) / REPS as f64;
     let lanes_s = median(&ltimes) / REPS as f64;
-    let speedup = interleaved_s / lanes_s;
+    let speedup = per_rhs_s / lanes_s;
     println!(
-        "{name}/interleaved {:>12}   {name}/lanes {:>12}   speedup {speedup:.2}x",
-        fmt_time(interleaved_s),
+        "{name}/per_rhs {:>12}   {name}/lanes {:>12}   speedup {speedup:.2}x",
+        fmt_time(per_rhs_s),
         fmt_time(lanes_s)
     );
     LaneResult {
-        interleaved_s,
+        per_rhs_s,
         lanes_s,
         speedup,
         max_abs_diff,
@@ -151,15 +155,14 @@ fn main() {
         csc.nnz()
     );
 
-    // --- Lane kernels vs runtime-width interleaved, dense backend. ---
+    // --- Lane kernels vs the per-RHS solve_into loop, dense backend. ---
     let dense = csc.to_dense().lu().expect("dense lu");
     let lane_dense = bench_lanes(
         "lu_kernels/dense",
         n,
         n_rhs,
         budget_s,
-        &|b, out| dense.solve_into(b, out),
-        &mut |blk, scr| dense.solve_multi_interleaved(blk, n_rhs, scr),
+        &mut |b, out| dense.solve_into(b, out),
         &mut |blk, scr| dense.solve_multi_lanes(blk, n_rhs, scr),
     );
 
@@ -171,11 +174,7 @@ fn main() {
         n,
         n_rhs,
         budget_s,
-        &|b, out| {
-            let mut scr = vec![0.0; n];
-            sparse.solve_into(b, out, &mut scr);
-        },
-        &mut |blk, scr| sparse.solve_multi_interleaved(blk, n_rhs, scr),
+        &mut |b, out| sparse.solve_into(b, out, &mut sscr),
         &mut |blk, scr| sparse.solve_multi_lanes(blk, n_rhs, scr),
     );
 
@@ -273,7 +272,7 @@ fn main() {
             "  \"n\": {},\n",
             "  \"n_rhs\": {},\n",
             "  \"lane_dense\": {{\n",
-            "    \"interleaved_median_s\": {:.6e},\n",
+            "    \"per_rhs_median_s\": {:.6e},\n",
             "    \"lanes_median_s\": {:.6e},\n",
             "    \"speedup\": {:.3},\n",
             "    \"max_abs_diff\": {:.3e}\n",
@@ -284,7 +283,7 @@ fn main() {
             // (the backend the logic-path sweep actually uses) plus the
             // replay pair below. Bit-identity is still hard-asserted above.
             "  \"lane_sparse\": {{\n",
-            "    \"interleaved_median_s\": {:.6e},\n",
+            "    \"per_rhs_median_s\": {:.6e},\n",
             "    \"lanes_median_s\": {:.6e},\n",
             "    \"ratio\": {:.3},\n",
             "    \"bitwise_diff\": {:.3e}\n",
@@ -309,11 +308,11 @@ fn main() {
         ),
         n,
         n_rhs,
-        lane_dense.interleaved_s,
+        lane_dense.per_rhs_s,
         lane_dense.lanes_s,
         lane_dense.speedup,
         lane_dense.max_abs_diff,
-        lane_sparse.interleaved_s,
+        lane_sparse.per_rhs_s,
         lane_sparse.lanes_s,
         lane_sparse.speedup,
         lane_sparse.max_abs_diff,

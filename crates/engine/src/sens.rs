@@ -6,6 +6,7 @@
 use crate::error::EngineError;
 use crate::solver::{FactoredJacobian, SolverKind};
 use tranvar_circuit::{Circuit, ParamDeriv};
+use tranvar_num::lanes_scratch_len;
 
 /// DC sensitivities `dx/dp_k` of the operating point with respect to every
 /// registered mismatch parameter.
@@ -30,23 +31,23 @@ pub fn dc_sensitivities(
     let n_node = ckt.n_nodes() - 1;
     let lu = FactoredJacobian::factor(solver, &asm, 1.0, 0.0, 1e-12, n_node)?;
     let n = asm.n;
-    // Stage every parameter's RHS in one column-major block and solve them
-    // with a single batched sweep — the factor is traversed once per block
+    // Stage every parameter's RHS in one RHS-interleaved block
+    // (`block[i·n_params + k]` is row `i` of parameter `k`) and solve them
+    // with a single lane sweep — the factor is traversed once per lane group
     // rather than once per parameter.
     let mut block = vec![0.0; n * n_params];
     let mut pd = ParamDeriv::default();
     for k in 0..n_params {
         ckt.d_residual_dparam_into(k, x_op, &mut pd)?;
-        let col = &mut block[k * n..(k + 1) * n];
         for &(i, v) in &pd.df {
-            col[i] -= v;
+            block[i * n_params + k] -= v;
         }
         // ∂q/∂p does not influence the DC solution.
     }
-    let mut scratch = vec![0.0; n * n_params];
-    lu.solve_multi(&mut block, n_params, &mut scratch);
+    let mut scratch = vec![0.0; lanes_scratch_len(n, n_params)];
+    lu.solve_multi_lanes(&mut block, n_params, &mut scratch);
     Ok((0..n_params)
-        .map(|k| block[k * n..(k + 1) * n].to_vec())
+        .map(|k| (0..n).map(|i| block[i * n_params + k]).collect())
         .collect())
 }
 
@@ -194,6 +195,90 @@ mod tests {
                 (got - fd).abs() < 2e-3 * fd.abs().max(1e-3),
                 "param {k}: {got} vs fd {fd}"
             );
+        }
+    }
+
+    /// Seven resistively coupled nMOS stages plus a load resistor: 7 drain
+    /// resistors + 7 Pelgrom pairs + the load = 22 mismatch parameters (the
+    /// StrongARM count), with every stage's sensitivity coupled to its
+    /// neighbours.
+    fn coupled_nmos_ladder() -> Circuit {
+        use tranvar_circuit::{MosModel, MosType};
+        let mut ckt = Circuit::new();
+        let vdd = ckt.node("vdd");
+        let g = ckt.node("g");
+        ckt.add_vsource("VDD", vdd, NodeId::GROUND, Waveform::Dc(1.2));
+        ckt.add_vsource("VG", g, NodeId::GROUND, Waveform::Dc(0.8));
+        let mut prev = None;
+        for i in 0..7 {
+            let d = ckt.node(&format!("d{i}"));
+            let rd = ckt.add_resistor(&format!("RD{i}"), vdd, d, 5e3 + 500.0 * i as f64);
+            ckt.annotate_resistor_mismatch(rd, 10.0);
+            let m = ckt.add_mosfet(
+                &format!("M{i}"),
+                d,
+                g,
+                NodeId::GROUND,
+                MosType::Nmos,
+                MosModel::nmos_013(),
+                (1.0 + 0.25 * i as f64) * 1e-6,
+                0.13e-6,
+            );
+            ckt.annotate_pelgrom(m, 6.5e-9, 3.25e-8);
+            if let Some(p) = prev {
+                ckt.add_resistor(&format!("RC{i}"), p, d, 2e3);
+            }
+            prev = Some(d);
+        }
+        let rl = ckt.add_resistor("RL", prev.unwrap(), NodeId::GROUND, 20e3);
+        ckt.annotate_resistor_mismatch(rl, 50.0);
+        ckt
+    }
+
+    /// The lane sweep must not change a bit: every column of
+    /// `dc_sensitivities` equals a per-parameter `solve_into` of the same
+    /// right-hand side on every backend. 22 is not a lane width, so the
+    /// dispatcher's gather/scatter groups (16 + 4 + 2) run.
+    #[test]
+    fn columns_match_per_param_solve_into_bitwise() {
+        let ckt = coupled_nmos_ladder();
+        let p = ckt.mismatch_params().len();
+        assert_eq!(p, 22);
+        assert!(!tranvar_num::lanes::LANE_WIDTHS.contains(&p));
+        let x = dc_operating_point(&ckt, &DcOptions::default()).unwrap();
+        let asm = ckt.assemble(&x, 0.0);
+        let n = asm.n;
+        let n_node = ckt.n_nodes() - 1;
+        for kind in [
+            SolverKind::Dense,
+            SolverKind::Sparse,
+            SolverKind::SparseOrdered,
+        ] {
+            let sens = dc_sensitivities(&ckt, &x, kind).unwrap();
+            assert_eq!(sens.len(), p);
+            let lu = FactoredJacobian::factor(kind, &asm, 1.0, 0.0, 1e-12, n_node).unwrap();
+            let mut pd = ParamDeriv::default();
+            let (mut out, mut scratch) = (vec![0.0; n], vec![0.0; n]);
+            for (k, col) in sens.iter().enumerate() {
+                ckt.d_residual_dparam_into(k, &x, &mut pd).unwrap();
+                let mut b = vec![0.0; n];
+                for &(i, v) in &pd.df {
+                    b[i] -= v;
+                }
+                lu.solve_into(&b, &mut out, &mut scratch);
+                assert!(
+                    col.iter().any(|&v| v != 0.0),
+                    "{kind:?} param {k} is all zero"
+                );
+                for i in 0..n {
+                    assert!(
+                        col[i].to_bits() == out[i].to_bits(),
+                        "{kind:?} param {k} row {i}: {} vs {}",
+                        col[i],
+                        out[i]
+                    );
+                }
+            }
         }
     }
 }

@@ -16,9 +16,9 @@
 //! work. Heuristics for [`SolverKind`]:
 //!
 //! - **Dense** (default): best below [`SPARSE_CROSSOVER_N`] unknowns — the
-//!   dense kernel has no indexing overhead, vectorizes, and the blocked
-//!   [`FactoredJacobian::solve_multi`] amortizes each factor row over a
-//!   whole block of right-hand sides. All paper benchmark circuits are in
+//!   dense kernel has no indexing overhead, vectorizes, and the lane solve
+//!   [`FactoredJacobian::solve_multi_lanes`] amortizes each factor row over
+//!   a whole block of right-hand sides. All paper benchmark circuits are in
 //!   this regime.
 //! - **Sparse**: the natural-column-order sparse backend; keeps bit-compat
 //!   replay semantics and wins when the Jacobian is large *and* sparse —
@@ -30,13 +30,18 @@
 //!   mesh-like substrates. [`SolverKind::auto_for`] encodes the measured
 //!   crossover.
 //!
-//! Wide multi-RHS solves (sensitivity and LPTV batches) should go through
-//! [`FactoredJacobian::solve_multi_lanes`], which dispatches to
-//! compile-time-width lane kernels and returns bit-for-bit the same results
-//! as the runtime-width interleaved path.
+//! # Solving
+//!
+//! A factored Jacobian has two solve paths. [`FactoredJacobian::solve_into`]
+//! solves one right-hand side with zero allocation (the Newton step) and is
+//! the bitwise reference. Every multi-RHS solve (DC and transient
+//! sensitivities, monodromy, LPTV batches) goes through
+//! [`FactoredJacobian::solve_multi_lanes`], which dispatches an
+//! RHS-interleaved block to the backend's compile-time-width `solve_arr<N>`
+//! lane kernels and returns, per RHS, bit-for-bit the bits of `solve_into`.
 
 use tranvar_circuit::Assembly;
-use tranvar_num::{lanes_scratch_len, Csc, DMat, Lu, NumError, SparseLu, SparseSymbolic, Triplets};
+use tranvar_num::{Csc, DMat, Lu, NumError, SparseLu, SparseSymbolic, Triplets};
 
 /// Dense/sparse crossover for [`SolverKind::auto_for`]: measured with the
 /// `lu_kernels` bench (steady-state refactor + multi-RHS lane solve on
@@ -143,78 +148,25 @@ impl FactoredJacobian {
         }
     }
 
-    /// Solves `J·X = B` for a column-major block of `n_rhs` right-hand
-    /// sides in place (`block[r + n·k]` is row `r` of RHS `k`); `scratch`
-    /// must have length `self.n() * n_rhs`.
+    /// Solves `J·X = B` for an RHS-interleaved block of `n_rhs` right-hand
+    /// sides in place (`block[r·n_rhs + k]` is row `r` of RHS `k`) through
+    /// the backend's compile-time lane kernels (`solve_arr<N>`), decomposing
+    /// `n_rhs` into supported lane widths.
     ///
-    /// The blocked sweeps read each factor row/column once per block rather
-    /// than once per RHS, and per-column results are bit-for-bit identical
-    /// to [`FactoredJacobian::solve`].
-    pub fn solve_multi(&self, block: &mut [f64], n_rhs: usize, scratch: &mut [f64]) {
-        if n_rhs == 0 {
-            return;
-        }
-        match self {
-            FactoredJacobian::Dense(lu) => {
-                let n = lu.n();
-                lu.solve_multi(block, n_rhs, &mut scratch[..n]);
-            }
-            FactoredJacobian::Sparse(lu) => lu.solve_multi(block, n_rhs, scratch),
-        }
-    }
-
-    /// Solves `J·X = B` for an *interleaved* block of `n_rhs` right-hand
-    /// sides in place (`block[r·n_rhs + k]` is row `r` of RHS `k`);
-    /// `scratch` must have length `self.n() * n_rhs`.
-    ///
-    /// The interleaved layout turns every factor entry into a contiguous
-    /// `n_rhs`-wide axpy — the fastest shape when the system is small and
-    /// the batch is wide (tens of unknowns × tens of parameters). Per-RHS
-    /// results are bit-for-bit identical to [`FactoredJacobian::solve`].
-    /// Prefer [`FactoredJacobian::solve_multi_lanes`], whose compile-time
-    /// lane kernels produce the same bits faster.
-    ///
-    /// Scratch contract: `scratch` must be a full `self.n() * n_rhs` shadow
-    /// of the block (both backends stage through it); a shorter slice would
-    /// read stale or out-of-range rows.
-    pub fn solve_multi_interleaved(&self, block: &mut [f64], n_rhs: usize, scratch: &mut [f64]) {
-        debug_assert!(
-            scratch.len() >= self.n() * n_rhs,
-            "interleaved scratch must cover the whole block"
-        );
-        match self {
-            FactoredJacobian::Dense(lu) => lu.solve_multi_interleaved(block, n_rhs, scratch),
-            FactoredJacobian::Sparse(lu) => lu.solve_multi_interleaved(block, n_rhs, scratch),
-        }
-    }
-
-    /// Solves an RHS-interleaved block through the compile-time lane kernels
-    /// (`solve_arr`), decomposing `n_rhs` into supported lane widths.
-    ///
-    /// `scratch` must hold at least
+    /// Each factor row/column is read once per lane group rather than once
+    /// per RHS. `scratch` must hold at least
     /// [`tranvar_num::lanes_scratch_len`]`(self.n(), n_rhs)` elements — size
     /// caller buffers with that helper. Per-RHS results are bit-for-bit
-    /// identical to [`FactoredJacobian::solve_multi_interleaved`] and
-    /// [`FactoredJacobian::solve`].
+    /// identical to [`FactoredJacobian::solve_into`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `block.len() != self.n() * n_rhs` or `scratch` is shorter
+    /// than `lanes_scratch_len(self.n(), n_rhs)`.
     pub fn solve_multi_lanes(&self, block: &mut [f64], n_rhs: usize, scratch: &mut [f64]) {
-        debug_assert!(
-            scratch.len() >= lanes_scratch_len(self.n(), n_rhs),
-            "lane scratch shorter than lanes_scratch_len"
-        );
         match self {
             FactoredJacobian::Dense(lu) => lu.solve_multi_lanes(block, n_rhs, scratch),
             FactoredJacobian::Sparse(lu) => lu.solve_multi_lanes(block, n_rhs, scratch),
-        }
-    }
-
-    /// Solves `J·X = B` for an `N`-lane RHS block in place (`block[i]` is
-    /// row `i` of all `N` right-hand sides); `scratch` must hold `self.n()`
-    /// lane blocks. Per-RHS results are bit-for-bit identical to
-    /// [`FactoredJacobian::solve`].
-    pub fn solve_arr<const N: usize>(&self, block: &mut [[f64; N]], scratch: &mut [[f64; N]]) {
-        match self {
-            FactoredJacobian::Dense(lu) => lu.solve_arr(block, scratch),
-            FactoredJacobian::Sparse(lu) => lu.solve_arr(block, scratch),
         }
     }
 
@@ -700,35 +652,6 @@ mod tests {
             combine_into(&asm, 1.0, 1e9, 1e-12, nn, &mut tr, &mut staged);
             let expect = combine(&asm, 1.0, 1e9, 1e-12, nn);
             assert_eq!(staged.as_ref().unwrap(), &expect, "trial {trial}");
-        }
-    }
-
-    #[test]
-    fn solve_multi_matches_per_column_for_both_backends() {
-        let ckt = rc();
-        let nn = ckt.n_nodes() - 1;
-        let x = vec![1.0, 0.5, -2e-4];
-        let asm = ckt.assemble(&x, 0.0);
-        let n = asm.n;
-        let n_rhs = 5;
-        for kind in [SolverKind::Dense, SolverKind::Sparse] {
-            let fac = FactoredJacobian::factor(kind, &asm, 1.0, 1e9, 1e-12, nn).unwrap();
-            let mut block: Vec<f64> = (0..n * n_rhs)
-                .map(|i| ((i * 7 % 11) as f64) * 0.4 - 1.0)
-                .collect();
-            let per_col: Vec<Vec<f64>> = (0..n_rhs)
-                .map(|k| fac.solve(&block[k * n..(k + 1) * n]))
-                .collect();
-            let mut scratch = vec![0.0; n * n_rhs];
-            fac.solve_multi(&mut block, n_rhs, &mut scratch);
-            for k in 0..n_rhs {
-                for i in 0..n {
-                    assert!(
-                        block[k * n + i].to_bits() == per_col[k][i].to_bits(),
-                        "{kind:?} rhs {k} row {i}"
-                    );
-                }
-            }
         }
     }
 }

@@ -23,10 +23,10 @@
 //! 2. *Propagate phase* (parallel): the mismatch parameters are split into
 //!    contiguous chunks, one worker thread per chunk ([`TranOptions::threads`]).
 //!    Each worker advances its chunk through the window with a single
-//!    multi-RHS batched solve per step
-//!    ([`crate::solver::FactoredJacobian::solve_multi`]) over preallocated
-//!    column-major blocks — **zero heap allocation inside the per-step
-//!    parameter loop**. Each state's parameter derivatives are evaluated
+//!    multi-RHS lane solve per step
+//!    ([`crate::solver::FactoredJacobian::solve_multi_lanes`], dispatching to
+//!    the backend's `solve_arr<N>` kernels) over preallocated RHS-interleaved
+//!    blocks — **zero heap allocation inside the per-step parameter loop**. Each state's parameter derivatives are evaluated
 //!    once (not once per adjacent step), and same-device parameter pairs
 //!    (Pelgrom V_T/β) share one model evaluation
 //!    ([`tranvar_circuit::Circuit::d_residual_dparams_into`]).

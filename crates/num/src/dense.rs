@@ -358,13 +358,6 @@ impl<T: Scalar> Lu<T> {
         x
     }
 
-    /// Solves `A·x = b`, overwriting `x` (which must already hold `b`).
-    pub fn solve_in_place(&self, x: &mut [T]) {
-        let b: Vec<T> = self.perm.iter().map(|&p| x[p]).collect();
-        x.copy_from_slice(&b);
-        self.solve_permuted_in_place(x);
-    }
-
     /// Solves `A·x = b` into `out` with zero heap allocation — the
     /// per-timestep hot path.
     ///
@@ -379,59 +372,6 @@ impl<T: Scalar> Lu<T> {
             *o = b[p];
         }
         self.solve_permuted_in_place(out);
-    }
-
-    /// Solves `A·X = B` for a column-major block of `n_rhs` right-hand sides
-    /// in place (`block[r + n·k]` is row `r` of RHS `k`); `scratch` must
-    /// have length `self.n()`.
-    ///
-    /// The triangular sweeps run with the factor row as the outer loop so
-    /// each row of `L`/`U` is read once per block instead of once per RHS —
-    /// for sensitivity batches this turns a memory-bound loop into an
-    /// arithmetic one. Per-column results are bit-for-bit identical to
-    /// [`Lu::solve`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `block.len() != self.n() * n_rhs` or
-    /// `scratch.len() != self.n()`.
-    pub fn solve_multi(&self, block: &mut [T], n_rhs: usize, scratch: &mut [T]) {
-        let n = self.n();
-        assert_eq!(block.len(), n * n_rhs, "block length mismatch");
-        assert_eq!(scratch.len(), n, "scratch length mismatch");
-        // Apply the row permutation column by column.
-        for k in 0..n_rhs {
-            let col = &mut block[k * n..(k + 1) * n];
-            scratch.copy_from_slice(col);
-            for (o, &p) in col.iter_mut().zip(self.perm.iter()) {
-                *o = scratch[p];
-            }
-        }
-        // Forward substitution with unit lower factor, row-outer so the
-        // factor row is loaded once per block.
-        for i in 1..n {
-            let row = self.lu.row(i);
-            for k in 0..n_rhs {
-                let col = &mut block[k * n..(k + 1) * n];
-                let mut acc = col[i];
-                for j in 0..i {
-                    acc -= row[j] * col[j];
-                }
-                col[i] = acc;
-            }
-        }
-        // Back substitution with upper factor.
-        for i in (0..n).rev() {
-            let row = self.lu.row(i);
-            for k in 0..n_rhs {
-                let col = &mut block[k * n..(k + 1) * n];
-                let mut acc = col[i];
-                for j in (i + 1)..n {
-                    acc -= row[j] * col[j];
-                }
-                col[i] = acc / row[i];
-            }
-        }
     }
 
     fn solve_permuted_in_place(&self, x: &mut [T]) {
@@ -457,89 +397,14 @@ impl<T: Scalar> Lu<T> {
         }
     }
 
-    /// Solves `A·X = B` for an *interleaved* block of `n_rhs` right-hand
-    /// sides in place: `block[i·n_rhs + k]` is row `i` of RHS `k`, so the
-    /// values of all RHS for one unknown are contiguous. `scratch` must be
-    /// another `n·n_rhs` buffer.
-    ///
-    /// Every triangular update becomes a contiguous `n_rhs`-wide axpy, which
-    /// vectorizes far better than the column-major [`Lu::solve_multi`] when
-    /// the system is small and the batch is wide (the transient-sensitivity
-    /// shape: tens of unknowns, tens of parameters). Per-RHS results are
-    /// bit-for-bit identical to [`Lu::solve`]. Prefer
-    /// [`Lu::solve_multi_lanes`] when the width is fixed across calls: its
-    /// compile-time lane kernels solve the same block faster with the same
-    /// bits.
-    ///
-    /// Scratch contract: `scratch` is a full shadow of the block — exactly
-    /// `self.n() * n_rhs` elements — used to stage the row permutation. A
-    /// shorter slice would permute from stale or out-of-range rows.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `block.len()` or `scratch.len()` differ from
-    /// `self.n() * n_rhs`.
-    pub fn solve_multi_interleaved(&self, block: &mut [T], n_rhs: usize, scratch: &mut [T]) {
-        let n = self.n();
-        assert_eq!(block.len(), n * n_rhs, "block length mismatch");
-        assert_eq!(scratch.len(), n * n_rhs, "scratch length mismatch");
-        debug_assert!(
-            scratch.len() >= block.len(),
-            "interleaved scratch must cover the whole block"
-        );
-        if n_rhs == 0 {
-            return;
-        }
-        // Row permutation.
-        scratch.copy_from_slice(block);
-        for (i, &p) in self.perm.iter().enumerate() {
-            block[i * n_rhs..(i + 1) * n_rhs].copy_from_slice(&scratch[p * n_rhs..(p + 1) * n_rhs]);
-        }
-        // Forward substitution with unit lower factor: row i accumulates
-        // -L[i][j]·x_j for j < i, each a contiguous axpy.
-        for i in 1..n {
-            let row = self.lu.row(i);
-            let (lo, hi) = block.split_at_mut(i * n_rhs);
-            let xi = &mut hi[..n_rhs];
-            for (j, &lij) in row.iter().enumerate().take(i) {
-                if lij == T::zero() {
-                    continue;
-                }
-                let xj = &lo[j * n_rhs..(j + 1) * n_rhs];
-                for (a, b) in xi.iter_mut().zip(xj.iter()) {
-                    *a -= lij * *b;
-                }
-            }
-        }
-        // Back substitution with upper factor.
-        for i in (0..n).rev() {
-            let row = self.lu.row(i);
-            let (lo, hi) = block.split_at_mut((i + 1) * n_rhs);
-            let xi = &mut lo[i * n_rhs..];
-            for (j, &uij) in row.iter().enumerate().skip(i + 1) {
-                if uij == T::zero() {
-                    continue;
-                }
-                let xj = &hi[(j - i - 1) * n_rhs..(j - i) * n_rhs];
-                for (a, b) in xi.iter_mut().zip(xj.iter()) {
-                    *a -= uij * *b;
-                }
-            }
-            let diag = row[i];
-            for a in xi.iter_mut() {
-                *a = *a / diag;
-            }
-        }
-    }
-
     /// Solves `A·X = B` for an `N`-lane RHS block in place: `block[i]` holds
     /// row `i` of all `N` right-hand sides. `scratch` must also hold
     /// `self.n()` lane blocks.
     ///
-    /// This is the compile-time-width variant of
-    /// [`Lu::solve_multi_interleaved`]: every inner axpy is a fixed-`N` loop
-    /// the compiler unrolls into straight-line SIMD. Per-RHS results are
-    /// bit-for-bit identical to [`Lu::solve_into`].
+    /// Each factor row is read once per block rather than once per
+    /// right-hand side, and every inner axpy is a fixed-`N` loop the compiler
+    /// unrolls into straight-line SIMD. Per-RHS results are bit-for-bit
+    /// identical to [`Lu::solve_into`].
     ///
     /// # Panics
     ///
@@ -598,39 +463,9 @@ impl<T: Scalar> Lu<T> {
     ///
     /// `scratch` must hold at least
     /// [`crate::lanes::lanes_scratch_len`]`(self.n(), n_rhs)` elements.
-    /// Per-RHS results are bit-for-bit identical to
-    /// [`Lu::solve_multi_interleaved`] and [`Lu::solve_into`].
+    /// Per-RHS results are bit-for-bit identical to [`Lu::solve_into`].
     pub fn solve_multi_lanes(&self, block: &mut [T], n_rhs: usize, scratch: &mut [T]) {
         crate::lanes::solve_lanes_dispatch(self, self.n(), block, n_rhs, scratch);
-    }
-
-    /// Solves `Aᵀ·x = b` (useful for adjoint sensitivity analysis).
-    pub fn solve_transposed(&self, b: &[T]) -> Vec<T> {
-        let n = self.n();
-        assert_eq!(b.len(), n, "rhs length mismatch");
-        let mut x = b.to_vec();
-        // Uᵀ is lower triangular: forward substitution.
-        for i in 0..n {
-            let mut acc = x[i];
-            for j in 0..i {
-                acc -= self.lu[(j, i)] * x[j];
-            }
-            x[i] = acc / self.lu[(i, i)];
-        }
-        // Lᵀ is unit upper triangular: back substitution.
-        for i in (0..n).rev() {
-            let mut acc = x[i];
-            for j in (i + 1)..n {
-                acc -= self.lu[(j, i)] * x[j];
-            }
-            x[i] = acc;
-        }
-        // Undo the permutation: Aᵀ = Uᵀ Lᵀ P, so x_orig[perm[i]] = x[i].
-        let mut out = vec![T::zero(); n];
-        for (i, &p) in self.perm.iter().enumerate() {
-            out[p] = x[i];
-        }
-        out
     }
 
     /// Determinant of the original matrix.
@@ -640,30 +475,6 @@ impl<T: Scalar> Lu<T> {
             d = d * self.lu[(i, i)];
         }
         d
-    }
-
-    /// Solves for each column of `B`, returning `A⁻¹·B` (blocked multi-RHS
-    /// sweep under the hood).
-    pub fn solve_mat(&self, b: &DMat<T>) -> DMat<T> {
-        let n = self.n();
-        assert_eq!(b.rows(), n);
-        let n_rhs = b.cols();
-        // Column-major staging block for the batched solve.
-        let mut block = vec![T::zero(); n * n_rhs];
-        for j in 0..n_rhs {
-            for i in 0..n {
-                block[j * n + i] = b[(i, j)];
-            }
-        }
-        let mut scratch = vec![T::zero(); n];
-        self.solve_multi(&mut block, n_rhs, &mut scratch);
-        let mut out = DMat::zeros(n, n_rhs);
-        for j in 0..n_rhs {
-            for i in 0..n {
-                out[(i, j)] = block[j * n + i];
-            }
-        }
-        out
     }
 }
 
@@ -808,19 +619,6 @@ mod tests {
     }
 
     #[test]
-    fn transposed_solve_matches_direct() {
-        let a = DMat::from_vec(3, 3, vec![4.0, 1.0, 0.0, 2.0, 5.0, 1.0, 0.5, 1.0, 3.0]);
-        let at = a.transpose();
-        let b = [1.0, 2.0, 3.0];
-        let lu = a.lu().unwrap();
-        let x1 = lu.solve_transposed(&b);
-        let x2 = at.solve(&b).unwrap();
-        for (u, v) in x1.iter().zip(x2.iter()) {
-            assert!((u - v).abs() < 1e-12);
-        }
-    }
-
-    #[test]
     fn det_of_permutation_has_sign() {
         let a = DMat::from_vec(2, 2, vec![0.0, 1.0, 1.0, 0.0]);
         let lu = a.lu().unwrap();
@@ -848,67 +646,6 @@ mod tests {
     }
 
     #[test]
-    fn solve_multi_matches_column_solves() {
-        let n = 9;
-        let mut seed = 3u64;
-        let mut rnd = || {
-            seed = seed
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((seed >> 33) as f64 / (1u64 << 31) as f64) - 1.0
-        };
-        let a = DMat::from_fn(n, n, |i, j| rnd() + if i == j { 5.0 } else { 0.0 });
-        let lu = a.lu().unwrap();
-        let n_rhs = 4;
-        let mut block: Vec<f64> = (0..n * n_rhs).map(|_| rnd()).collect();
-        let reference: Vec<Vec<f64>> = (0..n_rhs)
-            .map(|k| lu.solve(&block[k * n..(k + 1) * n]))
-            .collect();
-        let mut scratch = vec![0.0; n];
-        lu.solve_multi(&mut block, n_rhs, &mut scratch);
-        for k in 0..n_rhs {
-            for i in 0..n {
-                assert!(
-                    block[k * n + i].to_bits() == reference[k][i].to_bits(),
-                    "rhs {k} row {i}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn solve_multi_interleaved_matches_solve() {
-        let n = 11;
-        let mut seed = 9u64;
-        let mut rnd = || {
-            seed = seed
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((seed >> 33) as f64 / (1u64 << 31) as f64) - 1.0
-        };
-        let a = DMat::from_fn(n, n, |i, j| rnd() + if i == j { 5.0 } else { 0.0 });
-        let lu = a.lu().unwrap();
-        let n_rhs = 7;
-        let mut block: Vec<f64> = (0..n * n_rhs).map(|_| rnd()).collect();
-        let reference: Vec<Vec<f64>> = (0..n_rhs)
-            .map(|k| {
-                let b: Vec<f64> = (0..n).map(|r| block[r * n_rhs + k]).collect();
-                lu.solve(&b)
-            })
-            .collect();
-        let mut scratch = vec![0.0; n * n_rhs];
-        lu.solve_multi_interleaved(&mut block, n_rhs, &mut scratch);
-        for k in 0..n_rhs {
-            for r in 0..n {
-                assert!(
-                    block[r * n_rhs + k].to_bits() == reference[k][r].to_bits(),
-                    "rhs {k} row {r}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn refactor_matches_fresh_factorization() {
         let a = DMat::from_vec(3, 3, vec![0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 9.0]);
         let b = DMat::from_vec(3, 3, vec![4.0, 1.0, 0.0, 2.0, 5.0, 1.0, 0.5, 1.0, 3.0]);
@@ -920,20 +657,6 @@ mod tests {
         let x2 = fresh.solve(&rhs);
         for i in 0..3 {
             assert!(x1[i].to_bits() == x2[i].to_bits());
-        }
-    }
-
-    #[test]
-    fn solve_mat_inverts() {
-        let a = DMat::from_vec(2, 2, vec![3.0, 1.0, 1.0, 2.0]);
-        let lu = a.lu().unwrap();
-        let inv = lu.solve_mat(&DMat::identity(2));
-        let prod = a.mat_mul(&inv);
-        for i in 0..2 {
-            for j in 0..2 {
-                let expect = if i == j { 1.0 } else { 0.0 };
-                assert!((prod[(i, j)] - expect).abs() < 1e-12);
-            }
         }
     }
 }

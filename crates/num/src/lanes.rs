@@ -1,20 +1,18 @@
-//! Compile-time lane blocks for the multi-RHS triangular-solve hot path.
+//! Compile-time lane blocks: the one multi-RHS triangular-solve path.
 //!
-//! The runtime-width interleaved kernels
-//! ([`crate::dense::Lu::solve_multi_interleaved`],
-//! [`crate::sparse::SparseLu::solve_multi_interleaved`]) turn every factor
-//! entry into an `n_rhs`-wide axpy whose trip count is only known at run
-//! time, so the compiler emits a vector loop with prologue/remainder
-//! handling around every single factor entry. The lane kernels in this
-//! module fix the width at *compile time* instead: a block of `N` right-hand
-//! sides is a `[[T; N]]` slice, the inner axpy is a fixed-`N` loop the
-//! compiler fully unrolls into straight-line SIMD, and
-//! [`solve_lanes_dispatch`] decomposes an arbitrary `n_rhs` into lane groups
-//! of the supported widths ([`LANE_WIDTHS`]) plus a scalar remainder.
+//! A block of `N` right-hand sides is a `[[T; N]]` slice, so every factor
+//! entry becomes a fixed-`N` axpy the compiler fully unrolls into
+//! straight-line SIMD, and each factor row/column is read once per block
+//! instead of once per right-hand side. Each factor type implements one such
+//! kernel ([`crate::dense::Lu::solve_arr`],
+//! [`crate::sparse::SparseLu::solve_arr`]) and [`solve_lanes_dispatch`]
+//! decomposes an arbitrary `n_rhs` into lane groups of the supported widths
+//! ([`LANE_WIDTHS`]); callers reach it through `solve_multi_lanes` on each
+//! factor type.
 //!
-//! Per-RHS arithmetic is identical to the runtime-width kernels (same
-//! operations, same order, independent of which lanes share a group), so
-//! lane-dispatched solves are **bit-for-bit identical per RHS** to
+//! Per-RHS arithmetic is the operation sequence of the single-RHS solve
+//! (same operations, same order, independent of which lanes share a group),
+//! so lane-dispatched solves are **bit-for-bit identical per RHS** to
 //! [`crate::dense::Lu::solve_into`] / [`crate::sparse::SparseLu::solve_into`]
 //! — the property every `max_abs_diff == 0` bench gate relies on.
 
@@ -65,9 +63,9 @@ pub trait LaneSolver<T: Scalar> {
 /// interleaved block.
 ///
 /// When `n_rhs` is itself a supported lane width the block is solved in
-/// place and one `n·n_rhs` workspace suffices (the same contract as
-/// `solve_multi_interleaved`); otherwise the dispatcher additionally stages
-/// each lane group contiguously, which needs a second `n·n_rhs` region.
+/// place and one `n·n_rhs` workspace (the kernel's ping-pong buffer)
+/// suffices; otherwise the dispatcher additionally stages each lane group
+/// contiguously, which needs a second `n·n_rhs` region.
 #[inline]
 pub fn lanes_scratch_len(n: usize, n_rhs: usize) -> usize {
     if LANE_WIDTHS.contains(&n_rhs) {

@@ -22,10 +22,11 @@
 //! [`NumError::Singular`] so callers can fall back to a fresh pivot search.
 //!
 //! Solves come in allocating ([`SparseLu::solve`]), zero-allocation
-//! ([`SparseLu::solve_into`]) and blocked multi-RHS
-//! ([`SparseLu::solve_multi`]) flavors; the blocked path walks each factor
-//! column once per *block* instead of once per right-hand side, which is
-//! where the transient-sensitivity and LPTV layers get their throughput.
+//! per-RHS ([`SparseLu::solve_into`]) and multi-RHS lane
+//! ([`SparseLu::solve_multi_lanes`] over [`SparseLu::solve_arr`]) flavors;
+//! the lane path walks each factor column once per *block* instead of once
+//! per right-hand side, which is where the transient-sensitivity and LPTV
+//! layers get their throughput.
 
 use crate::complex::Scalar;
 use crate::error::NumError;
@@ -944,173 +945,14 @@ impl<T: Scalar> SparseLu<T> {
             .map(|(&c, &v)| (c, v))
     }
 
-    /// Solves `A·X = B` for a column-major block of `n_rhs` right-hand sides
-    /// in place. `block` holds the RHS columns contiguously
-    /// (`block[r + n·k]` is row `r` of RHS `k`) and is overwritten with the
-    /// solutions; `scratch` must be another `n·n_rhs` buffer.
-    ///
-    /// Each L/U column is traversed once per *block* rather than once per
-    /// RHS, so for many right-hand sides (sensitivity batches, monodromy
-    /// columns) this is substantially faster than repeated
-    /// [`SparseLu::solve_into`] calls — and just as importantly it performs
-    /// zero heap allocation.
-    ///
-    /// The per-column arithmetic is identical to [`SparseLu::solve`], so the
-    /// blocked path returns bit-for-bit the same solutions as solving each
-    /// column separately.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `block.len()` or `scratch.len()` differ from
-    /// `self.n() * n_rhs`.
-    pub fn solve_multi(&self, block: &mut [T], n_rhs: usize, scratch: &mut [T]) {
-        let n = self.n;
-        assert_eq!(block.len(), n * n_rhs, "block length mismatch");
-        assert_eq!(scratch.len(), n * n_rhs, "scratch length mismatch");
-        if n_rhs == 0 {
-            return;
-        }
-        // Forward sweep, factor-column outer loop: scratch is the working RHS
-        // (original-row indexed), block accumulates y (pivot-step indexed).
-        scratch.copy_from_slice(block);
-        for j in 0..n {
-            let pr = self.perm[j];
-            let (llo, lhi) = (self.l_ptr[j], self.l_ptr[j + 1]);
-            let lidx = &self.l_idx[llo..lhi];
-            let lval = &self.l_val[llo..lhi];
-            for k in 0..n_rhs {
-                let off = k * n;
-                let yj = scratch[off + pr];
-                block[off + j] = yj;
-                if yj == T::zero() {
-                    continue;
-                }
-                for (&orig_row, &lv) in lidx.iter().zip(lval.iter()) {
-                    scratch[off + orig_row] -= lv * yj;
-                }
-            }
-        }
-        // Back substitution, factor-row outer loop.
-        for j in (0..n).rev() {
-            let (ulo, uhi) = (self.u_ptr[j], self.u_ptr[j + 1]);
-            let uidx = &self.u_idx[ulo..uhi];
-            let uval = &self.u_val[ulo..uhi];
-            for k in 0..n_rhs {
-                let x = &mut block[k * n..(k + 1) * n];
-                let mut acc = x[j];
-                let mut diag = T::zero();
-                for (&c, &v) in uidx.iter().zip(uval.iter()) {
-                    if c == j {
-                        diag = v;
-                    } else {
-                        acc -= v * x[c];
-                    }
-                }
-                x[j] = acc / diag;
-            }
-        }
-        // Scatter each column from pivot-step to original-column coordinates.
-        if !self.col_order.is_empty() {
-            scratch.copy_from_slice(block);
-            for k in 0..n_rhs {
-                let off = k * n;
-                for (step, &c) in self.col_order.iter().enumerate() {
-                    block[off + c] = scratch[off + step];
-                }
-            }
-        }
-    }
-}
-
-impl<T: Scalar> SparseLu<T> {
-    /// Solves `A·X = B` for an *interleaved* block of `n_rhs` right-hand
-    /// sides in place (`block[r·n_rhs + k]` is row `r` of RHS `k`);
-    /// `scratch` must be another `n·n_rhs` buffer.
-    ///
-    /// Like [`crate::dense::Lu::solve_multi_interleaved`], every factor
-    /// entry turns into a contiguous `n_rhs`-wide axpy. Per-RHS results are
-    /// bit-for-bit identical to [`SparseLu::solve`]. Prefer
-    /// [`SparseLu::solve_multi_lanes`] when the width is fixed across calls:
-    /// its compile-time lane kernels solve the same block faster with the
-    /// same bits.
-    ///
-    /// Scratch contract: `scratch` is a full shadow of the block — exactly
-    /// `self.n() * n_rhs` elements — holding the working RHS rows during the
-    /// forward sweep. A shorter slice would read stale or out-of-range rows.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `block.len()` or `scratch.len()` differ from
-    /// `self.n() * n_rhs`.
-    pub fn solve_multi_interleaved(&self, block: &mut [T], n_rhs: usize, scratch: &mut [T]) {
-        let n = self.n;
-        assert_eq!(block.len(), n * n_rhs, "block length mismatch");
-        assert_eq!(scratch.len(), n * n_rhs, "scratch length mismatch");
-        debug_assert!(
-            scratch.len() >= block.len(),
-            "interleaved scratch must cover the whole block"
-        );
-        if n_rhs == 0 {
-            return;
-        }
-        // Forward: scratch is the working RHS (original-row indexed), block
-        // accumulates y (pivot-step indexed).
-        scratch.copy_from_slice(block);
-        for j in 0..n {
-            let pr = self.perm[j];
-            {
-                let (b, s) = (
-                    &mut block[j * n_rhs..(j + 1) * n_rhs],
-                    &scratch[pr * n_rhs..(pr + 1) * n_rhs],
-                );
-                b.copy_from_slice(s);
-            }
-            let yrow = &block[j * n_rhs..(j + 1) * n_rhs];
-            for (orig_row, lv) in self.l_entries(j) {
-                let wrow = &mut scratch[orig_row * n_rhs..(orig_row + 1) * n_rhs];
-                for (w, y) in wrow.iter_mut().zip(yrow.iter()) {
-                    *w -= lv * *y;
-                }
-            }
-        }
-        // Back substitution on U (pivot-step coordinates).
-        for j in (0..n).rev() {
-            let mut diag = T::zero();
-            for (c, v) in self.u_entries(j) {
-                if c == j {
-                    diag = v;
-                    continue;
-                }
-                let (lo, hi) = block.split_at_mut(c * n_rhs);
-                let xc = &hi[..n_rhs];
-                let xj = &mut lo[j * n_rhs..(j + 1) * n_rhs];
-                for (a, b) in xj.iter_mut().zip(xc.iter()) {
-                    *a -= v * *b;
-                }
-            }
-            let xj = &mut block[j * n_rhs..(j + 1) * n_rhs];
-            for a in xj.iter_mut() {
-                *a = *a / diag;
-            }
-        }
-        // Scatter rows from pivot-step to original-column coordinates.
-        if !self.col_order.is_empty() {
-            scratch.copy_from_slice(block);
-            for (step, &c) in self.col_order.iter().enumerate() {
-                block[c * n_rhs..(c + 1) * n_rhs]
-                    .copy_from_slice(&scratch[step * n_rhs..(step + 1) * n_rhs]);
-            }
-        }
-    }
-
     /// Solves `A·X = B` for an `N`-lane RHS block in place: `block[i]` holds
     /// row `i` of all `N` right-hand sides. `scratch` must also hold
     /// `self.n()` lane blocks.
     ///
-    /// The compile-time-width variant of
-    /// [`SparseLu::solve_multi_interleaved`]: every factor entry becomes a
-    /// fixed-`N` axpy the compiler unrolls into straight-line SIMD. Per-RHS
-    /// results are bit-for-bit identical to [`SparseLu::solve_into`].
+    /// Each factor column/row is walked once per block rather than once per
+    /// right-hand side, and every factor entry becomes a fixed-`N` axpy the
+    /// compiler unrolls into straight-line SIMD. Per-RHS results are
+    /// bit-for-bit identical to [`SparseLu::solve_into`].
     ///
     /// # Panics
     ///
@@ -1166,8 +1008,7 @@ impl<T: Scalar> SparseLu<T> {
     ///
     /// `scratch` must hold at least
     /// [`crate::lanes::lanes_scratch_len`]`(self.n(), n_rhs)` elements.
-    /// Per-RHS results are bit-for-bit identical to
-    /// [`SparseLu::solve_multi_interleaved`] and [`SparseLu::solve_into`].
+    /// Per-RHS results are bit-for-bit identical to [`SparseLu::solve_into`].
     pub fn solve_multi_lanes(&self, block: &mut [T], n_rhs: usize, scratch: &mut [T]) {
         crate::lanes::solve_lanes_dispatch(self, self.n, block, n_rhs, scratch);
     }
@@ -1429,62 +1270,6 @@ mod tests {
         let x = s2.lu().unwrap().solve(&[3.0, 7.0]);
         assert!((x[0] - 7.0).abs() < 1e-14);
         assert!((x[1] - 3.0).abs() < 1e-14);
-    }
-
-    #[test]
-    fn solve_multi_matches_column_solves() {
-        let mut seed = 11u64;
-        let n = 24;
-        let (s, _) = dense_random(n, &mut seed, 0.25);
-        let lu = s.lu().unwrap();
-        let n_rhs = 7;
-        let mut block = vec![0.0; n * n_rhs];
-        for (i, v) in block.iter_mut().enumerate() {
-            *v = ((i * 13 % 29) as f64) * 0.3 - 2.0;
-        }
-        let reference: Vec<Vec<f64>> = (0..n_rhs)
-            .map(|k| lu.solve(&block[k * n..(k + 1) * n]))
-            .collect();
-        let mut scratch = vec![0.0; n * n_rhs];
-        lu.solve_multi(&mut block, n_rhs, &mut scratch);
-        for k in 0..n_rhs {
-            for i in 0..n {
-                assert!(
-                    block[k * n + i].to_bits() == reference[k][i].to_bits(),
-                    "rhs {k} row {i}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn solve_multi_interleaved_matches_solve() {
-        let mut seed = 19u64;
-        let n = 18;
-        let (s, _) = dense_random(n, &mut seed, 0.3);
-        let lu = s.lu().unwrap();
-        let n_rhs = 5;
-        // Interleaved layout: block[r * n_rhs + k].
-        let mut block = vec![0.0; n * n_rhs];
-        for (i, v) in block.iter_mut().enumerate() {
-            *v = ((i * 31 % 17) as f64) * 0.25 - 1.5;
-        }
-        let reference: Vec<Vec<f64>> = (0..n_rhs)
-            .map(|k| {
-                let b: Vec<f64> = (0..n).map(|r| block[r * n_rhs + k]).collect();
-                lu.solve(&b)
-            })
-            .collect();
-        let mut scratch = vec![0.0; n * n_rhs];
-        lu.solve_multi_interleaved(&mut block, n_rhs, &mut scratch);
-        for k in 0..n_rhs {
-            for r in 0..n {
-                assert!(
-                    block[r * n_rhs + k].to_bits() == reference[k][r].to_bits(),
-                    "rhs {k} row {r}"
-                );
-            }
-        }
     }
 
     #[test]

@@ -73,9 +73,10 @@
 //! fixed: the sparse LU splits into one symbolic pivot analysis per circuit
 //! plus numeric-only refactorizations per timestep
 //! ([`num::SparseSymbolic`], [`num::SparseLu::refactor`]), every solver
-//! offers zero-allocation and multi-RHS batched solves (`solve_into`,
-//! `solve_multi`, `solve_multi_interleaved` — bit-for-bit identical per
-//! RHS), and the transient sensitivity engine propagates all mismatch
+//! offers exactly two solve paths — the zero-allocation per-RHS
+//! `solve_into` and the multi-RHS `solve_multi_lanes` over compile-time
+//! `solve_arr<N>` lane kernels, bit-for-bit identical per RHS — and the
+//! transient sensitivity engine propagates all mismatch
 //! parameters as one batched block across worker threads
 //! ([`engine::TranOptions::threads`]). See ROADMAP.md's "Performance"
 //! section and `BENCH_transens.json` for the measured trajectory.

@@ -575,9 +575,9 @@ fn random_system(rng: &mut Rng64, n: usize, density: f64) -> tranvar::num::Csc<f
     t.to_csc()
 }
 
-/// Lane-kernel dispatch is bit-for-bit identical to per-RHS `solve_into` and
-/// to the runtime-width interleaved kernel, across exact lane widths,
-/// remainder mixes, and both factor backends.
+/// Lane-kernel dispatch is bit-for-bit identical to per-RHS `solve_into`
+/// across exact lane widths, remainder mixes, and all three factor backends
+/// (dense, natural-order sparse, Markowitz-ordered sparse).
 #[test]
 fn lane_solves_bitwise_match_solve_into() {
     let mut rng = Rng64::seed_from(0x1A5E5);
@@ -614,35 +614,22 @@ fn lane_solves_bitwise_match_solve_into() {
                 }
             }
             let mut scratch = vec![0.0; tranvar::num::lanes_scratch_len(n, n_rhs)];
-            // Dense lanes vs solve_into, and vs the interleaved kernel.
+            // Dense lanes.
             let mut blk = block0.clone();
             dense_lu.solve_multi_lanes(&mut blk, n_rhs, &mut scratch);
-            let mut ilv = block0.clone();
-            let mut iscr = vec![0.0; n * n_rhs];
-            dense_lu.solve_multi_interleaved(&mut ilv, n_rhs, &mut iscr);
             for i in 0..n * n_rhs {
                 assert!(
                     blk[i].to_bits() == dref[i].to_bits(),
                     "case {case} dense lanes vs solve_into n_rhs={n_rhs} idx {i}"
                 );
-                assert!(
-                    blk[i].to_bits() == ilv[i].to_bits(),
-                    "case {case} dense lanes vs interleaved n_rhs={n_rhs} idx {i}"
-                );
             }
             // Sparse (natural order) lanes.
             let mut blk = block0.clone();
             sparse_lu.solve_multi_lanes(&mut blk, n_rhs, &mut scratch);
-            let mut ilv = block0.clone();
-            sparse_lu.solve_multi_interleaved(&mut ilv, n_rhs, &mut iscr);
             for i in 0..n * n_rhs {
                 assert!(
                     blk[i].to_bits() == sref[i].to_bits(),
                     "case {case} sparse lanes vs solve_into n_rhs={n_rhs} idx {i}"
-                );
-                assert!(
-                    blk[i].to_bits() == ilv[i].to_bits(),
-                    "case {case} sparse lanes vs interleaved n_rhs={n_rhs} idx {i}"
                 );
             }
             // Sparse (Markowitz-ordered) lanes.

@@ -153,18 +153,19 @@ pub fn analyze_in(
     })
 }
 
-/// The linear-solver backend a configuration asks for.
-pub(crate) fn solver_of(config: &PssConfig) -> tranvar_engine::SolverKind {
+/// The shooting controls of either configuration (its Newton options carry
+/// the solver backend and the solve budget).
+pub(crate) fn shooting_opts(config: &PssConfig) -> &PssOptions {
     match config {
-        PssConfig::Driven { opts, .. } => opts.newton.solver,
-        PssConfig::Autonomous { opts, .. } => opts.pss.newton.solver,
+        PssConfig::Driven { opts, .. } => opts,
+        PssConfig::Autonomous { opts, .. } => &opts.pss,
     }
 }
 
 /// The session a fresh per-call entry point runs on: solver backend taken
 /// from the config's Newton options, automatic threading.
 pub(crate) fn session_for(config: &PssConfig) -> Session {
-    Session::with_solver(solver_of(config))
+    Session::with_solver(shooting_opts(config).newton.solver)
 }
 
 /// Solves only the PSS part of the flow (exposed for benchmarking the cost

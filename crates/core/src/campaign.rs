@@ -33,13 +33,16 @@
 //! orders across a worker's scenarios; see [`tranvar_engine::session`] for
 //! its machine-precision caveat.)
 
-use crate::analysis::{analyze, reports_from_responses, AnalysisResult, MetricSpec, PssConfig};
+use crate::analysis::{
+    analyze, reports_from_responses, shooting_opts, AnalysisResult, MetricSpec, PssConfig,
+};
 use crate::error::CoreError;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use tranvar_circuit::{Circuit, CircuitOverride};
+use tranvar_engine::retry::{flip, run_ladder, TRAN_LADDER};
 use tranvar_engine::{
     chunk_ranges, effective_threads, fault, is_retryable, map_scoped, Escalation, RetryPolicy,
-    Session, SessionOptions, SessionStats, SolveBudget, SolveDiagnostics, SolverKind,
+    Session, SessionOptions, SessionStats, SolveDiagnostics,
 };
 use tranvar_lptv::{LptvError, PeriodicResponse, PeriodicSolver};
 use tranvar_num::NumError;
@@ -127,10 +130,11 @@ impl Campaign {
 
     /// Enables retry/fallback escalation for failing unique solves. On a
     /// retryable failure (non-convergence, a singular or non-finite
-    /// factorization) the solve escalates through the periodic ladder —
-    /// doubled shooting steps ([`Escalation::HalveTimestep`]), then the
-    /// other solver backend ([`Escalation::SwitchBackend`]) — bounded by
-    /// `policy.max_attempts`. Every attempt lands in the scenario's
+    /// factorization) the solve walks the engine's [`TRAN_LADDER`] — doubled
+    /// shooting steps ([`Escalation::HalveTimestep`]), then the other
+    /// solver backend ([`Escalation::SwitchBackend`]) — for at most
+    /// `policy.max_attempts` attempts, stopping early once the solve
+    /// budget's deadline has passed. Every attempt lands in the scenario's
     /// [`ScenarioOutcome::diagnostics`] trail. Budget exhaustion and panics
     /// are never retried.
     pub fn with_retry(mut self, policy: RetryPolicy) -> Self {
@@ -182,7 +186,7 @@ impl Campaign {
         let n_unique = solve_keys.len();
 
         // ── Solve each unique variant on worker sessions. ──
-        let solver = crate::analysis::solver_of(&self.config);
+        let solver = shooting_opts(&self.config).newton.solver;
         let workers = effective_threads(self.threads, n_unique);
         let chunk = n_unique.div_ceil(workers.max(1)).max(1);
         // Workers solving in parallel keep their inner batched analyses
@@ -199,17 +203,16 @@ impl Campaign {
                 });
                 let mut outcomes = Vec::with_capacity(len);
                 for (j, key) in solve_keys[start..start + len].iter().enumerate() {
-                    let vs = solve_variant_resilient(
+                    let us = solve_unique(
                         &mut session,
                         base,
                         key,
                         &self.config,
                         &self.retry,
                         start + j,
-                        inner_threads,
                         &mut stats,
                     );
-                    if vs.poisoned {
+                    if us.poisoned {
                         // A caught panic may have left the session's cached
                         // workspaces mid-update; retire it so the chunk's
                         // remaining solves see clean state.
@@ -219,7 +222,7 @@ impl Campaign {
                             threads: inner_threads,
                         });
                     }
-                    outcomes.push((vs.outcome, vs.diagnostics));
+                    outcomes.push((us.outcome, us.diagnostics));
                 }
                 (outcomes, stats.merged(session.stats()))
             };
@@ -343,79 +346,60 @@ pub fn solve_unique(
     solve_index: usize,
     stats: &mut SessionStats,
 ) -> UniqueSolve {
-    let inner_threads = session.threads();
-    let vs = solve_variant_resilient(
-        session,
-        base,
-        solve_overrides,
-        config,
-        policy,
-        solve_index,
-        inner_threads,
-        stats,
+    let mut diagnostics = SolveDiagnostics::new();
+    let mut poisoned = false;
+    let mut cur = config.clone();
+    let outcome = run_ladder(
+        TRAN_LADDER,
+        policy.max_attempts,
+        &shooting_opts(config).newton.budget,
+        &mut diagnostics,
+        retryable_core,
+        engine_view,
+        |esc, _diag| {
+            escalate_config(&mut cur, esc);
+            let caught = catch_unwind(AssertUnwindSafe(|| {
+                if esc == Escalation::SwitchBackend {
+                    // Sessions pin their backend: the rescue runs on a
+                    // throwaway session of the flipped one.
+                    let mut fresh = Session::new(SessionOptions {
+                        solver: shooting_opts(&cur).newton.solver,
+                        threads: session.threads(),
+                    });
+                    let r = solve_variant(&mut fresh, base, solve_overrides, &cur, solve_index);
+                    *stats = stats.merged(fresh.stats());
+                    r
+                } else {
+                    solve_variant(session, base, solve_overrides, &cur, solve_index)
+                }
+            }));
+            caught.unwrap_or_else(|payload| {
+                poisoned = true;
+                Err(CoreError::Panic {
+                    context: format!("campaign unique solve {solve_index}"),
+                    message: panic_message(payload.as_ref()),
+                })
+            })
+        },
     );
     UniqueSolve {
-        outcome: vs.outcome,
-        diagnostics: vs.diagnostics,
-        poisoned: vs.poisoned,
-    }
-}
-
-/// The result of one unique solve after panic isolation and (optional)
-/// retry escalation.
-struct VariantSolve {
-    outcome: SolveOutcome,
-    diagnostics: SolveDiagnostics,
-    /// A panic was caught; the worker session may hold half-updated caches
-    /// and must be retired.
-    poisoned: bool,
-}
-
-/// The escalation rungs that apply to a periodic (PSS+LPTV) solve: the
-/// DC-only gmin/source rungs are skipped, `HalveTimestep` doubles the
-/// shooting step count, `SwitchBackend` re-solves on the other backend.
-fn campaign_ladder(policy: &RetryPolicy) -> Vec<Escalation> {
-    let mut l = vec![Escalation::Initial];
-    if policy.halve_timestep {
-        l.push(Escalation::HalveTimestep);
-    }
-    if policy.switch_backend {
-        l.push(Escalation::SwitchBackend);
-    }
-    l
-}
-
-/// The solve budget the configuration's Newton options carry (shared by
-/// every stage of the periodic solve).
-fn budget_of(config: &PssConfig) -> SolveBudget {
-    match config {
-        PssConfig::Driven { opts, .. } => opts.newton.budget.clone(),
-        PssConfig::Autonomous { opts, .. } => opts.pss.newton.budget.clone(),
-    }
-}
-
-fn flip(kind: SolverKind) -> SolverKind {
-    match kind {
-        SolverKind::Dense => SolverKind::Sparse,
-        // Both sparse variants fall back to the dense kernel, whose fresh
-        // full pivot search is the most robust escape from a bad pivot order.
-        SolverKind::Sparse | SolverKind::SparseOrdered => SolverKind::Dense,
+        outcome,
+        diagnostics,
+        poisoned,
     }
 }
 
 /// Applies one escalation rung (cumulatively) to the PSS configuration.
+/// `HalveTimestep` doubles the shooting step count; the DC-only rungs do
+/// not apply to a periodic solve.
 fn escalate_config(config: &mut PssConfig, esc: Escalation) {
+    let opts = match config {
+        PssConfig::Driven { opts, .. } => opts,
+        PssConfig::Autonomous { opts, .. } => &mut opts.pss,
+    };
     match esc {
-        Escalation::HalveTimestep => match config {
-            PssConfig::Driven { opts, .. } => opts.n_steps *= 2,
-            PssConfig::Autonomous { opts, .. } => opts.pss.n_steps *= 2,
-        },
-        Escalation::SwitchBackend => match config {
-            PssConfig::Driven { opts, .. } => opts.newton.solver = flip(opts.newton.solver),
-            PssConfig::Autonomous { opts, .. } => {
-                opts.pss.newton.solver = flip(opts.pss.newton.solver);
-            }
-        },
+        Escalation::HalveTimestep => opts.n_steps *= 2,
+        Escalation::SwitchBackend => opts.newton.solver = flip(opts.newton.solver),
         _ => {}
     }
 }
@@ -463,108 +447,6 @@ fn engine_view(e: &CoreError) -> tranvar_engine::EngineError {
         | CoreError::Pss(PssError::Num(n))
         | CoreError::Lptv(LptvError::Num(n)) => EngineError::Num(n.clone()),
         other => EngineError::BadConfig(other.to_string()),
-    }
-}
-
-/// Runs one unique solve with panic isolation and the campaign's retry
-/// ladder, recording every attempt. `SwitchBackend` attempts run on a
-/// throwaway session with the flipped backend (sessions pin their solver);
-/// its structural work is merged into `stats`.
-#[allow(clippy::too_many_arguments)]
-fn solve_variant_resilient(
-    session: &mut Session,
-    base: &Circuit,
-    key: &[CircuitOverride],
-    config: &PssConfig,
-    policy: &RetryPolicy,
-    solve_index: usize,
-    inner_threads: usize,
-    stats: &mut SessionStats,
-) -> VariantSolve {
-    let mut diag = SolveDiagnostics::new();
-    let ladder = campaign_ladder(policy);
-    let n = ladder.len().min(policy.max_attempts.max(1));
-    let budget = budget_of(config);
-    let mut cur = config.clone();
-    let mut last_err: Option<CoreError> = None;
-    for (i, &esc) in ladder.iter().take(n).enumerate() {
-        // Mirror the engine ladder's deadline awareness: an expired shared
-        // deadline means every further rung would only delay the typed
-        // BudgetExceeded the caller is owed.
-        if budget.deadline_expired() {
-            let e = budget.deadline_exceeded("campaign retry ladder");
-            diag.record(
-                format!("retry[{i}]:{}", tranvar_engine::DEADLINE_SHORT_CIRCUIT),
-                Some(e.clone()),
-            );
-            return VariantSolve {
-                outcome: Err(CoreError::Engine(e)),
-                diagnostics: diag,
-                poisoned: false,
-            };
-        }
-        escalate_config(&mut cur, esc);
-        let mut poisoned = false;
-        let res = match fault::attempt_fault(fault::sites::RETRY_ATTEMPT, i) {
-            Some(e) => Err(CoreError::Engine(e)),
-            None => {
-                let caught = catch_unwind(AssertUnwindSafe(|| {
-                    if esc == Escalation::SwitchBackend {
-                        let mut fresh = Session::new(SessionOptions {
-                            solver: crate::analysis::solver_of(&cur),
-                            threads: inner_threads,
-                        });
-                        let r = solve_variant(&mut fresh, base, key, &cur, solve_index);
-                        (r, Some(fresh.stats()))
-                    } else {
-                        (solve_variant(session, base, key, &cur, solve_index), None)
-                    }
-                }));
-                match caught {
-                    Ok((r, fresh_stats)) => {
-                        if let Some(s) = fresh_stats {
-                            *stats = stats.merged(s);
-                        }
-                        r
-                    }
-                    Err(payload) => {
-                        poisoned = true;
-                        Err(CoreError::Panic {
-                            context: format!("campaign unique solve {solve_index}"),
-                            message: panic_message(payload.as_ref()),
-                        })
-                    }
-                }
-            }
-        };
-        diag.record(
-            format!("retry[{i}]:{}", esc.label()),
-            res.as_ref().err().map(engine_view),
-        );
-        match res {
-            Ok(x) => {
-                return VariantSolve {
-                    outcome: Ok(x),
-                    diagnostics: diag,
-                    poisoned: false,
-                }
-            }
-            Err(e) if !poisoned && retryable_core(&e) => last_err = Some(e),
-            Err(e) => {
-                return VariantSolve {
-                    outcome: Err(e),
-                    diagnostics: diag,
-                    poisoned,
-                }
-            }
-        }
-    }
-    VariantSolve {
-        outcome: Err(
-            last_err.unwrap_or_else(|| CoreError::BadConfig("retry ladder ran no attempts".into()))
-        ),
-        diagnostics: diag,
-        poisoned: false,
     }
 }
 
@@ -1016,6 +898,80 @@ mod tests {
             );
             assert_eq!(oc.diagnostics.succeeded_stage(), Some("retry[1]:halve-dt"));
             assert_eq!(res.retry_attempts, 1);
+        }
+
+        /// A solve whose deadline has already passed (a request that sat in
+        /// a queue too long) spends no attempt: the ladder short-circuits
+        /// to the typed deadline error and says so in the trail.
+        #[test]
+        fn expired_deadline_short_circuits_the_campaign_ladder() {
+            use std::time::Duration;
+            use tranvar_engine::{BudgetKind, BudgetLimits, EngineError, SolveBudget};
+            let ckt = divider();
+            let scenarios = vec![Scenario::new("only", vec![])];
+            let _guard = FaultPlan::new()
+                .mock_elapsed(Duration::from_secs(2))
+                .install();
+            let mut camp = campaign(&ckt).with_retry(RetryPolicy::default());
+            if let PssConfig::Driven { opts, .. } = &mut camp.config {
+                opts.newton.budget =
+                    SolveBudget::new(BudgetLimits::default().deadline(Duration::from_secs(1)));
+            }
+            let res = camp.with_threads(1).run(&ckt, &scenarios).unwrap();
+            let oc = res.outcome("only").unwrap();
+            match &oc.result {
+                Err(CoreError::Engine(EngineError::BudgetExceeded { progress, .. })) => {
+                    assert_eq!(progress.exhausted, BudgetKind::Deadline);
+                }
+                other => panic!("expected a deadline BudgetExceeded, got {other:?}"),
+            }
+            assert_eq!(
+                oc.diagnostics.stages(),
+                vec!["retry[0]:deadline-short-circuit"]
+            );
+        }
+
+        /// Failing the first two rungs drives every unique solve onto the
+        /// switch-backend rung, whose throwaway session's structural work
+        /// must land in the campaign's stats (the worker session itself
+        /// never runs a solve here).
+        #[test]
+        fn switch_backend_rung_rescues_and_counts_its_session() {
+            let ckt = divider();
+            let scenarios = vdd_grid(&ckt);
+            let baseline = campaign(&ckt)
+                .with_retry(RetryPolicy::default())
+                .with_threads(1)
+                .run(&ckt, &scenarios)
+                .unwrap();
+            let _guard = FaultPlan::new()
+                .fail_range(sites::RETRY_ATTEMPT, 0, 2, FaultAction::NoConverge)
+                .install();
+            let res = campaign(&ckt)
+                .with_retry(RetryPolicy::default())
+                .with_threads(1)
+                .run(&ckt, &scenarios)
+                .unwrap();
+            for oc in &res.outcomes {
+                assert!(oc.result.is_ok(), "{:?}", oc.result.as_ref().err());
+                assert_eq!(
+                    oc.diagnostics.stages(),
+                    vec![
+                        "retry[0]:initial",
+                        "retry[1]:halve-dt",
+                        "retry[2]:switch-backend",
+                    ]
+                );
+            }
+            assert_eq!(res.retry_attempts, 2 * scenarios.len());
+            // Each rescue builds its patterns on a fresh session, where the
+            // fault-free run builds them once and replays them.
+            assert!(
+                res.stats.pattern_builds > baseline.stats.pattern_builds,
+                "{:?} vs fault-free {:?}",
+                res.stats,
+                baseline.stats
+            );
         }
 
         /// Without retry enabled the injected failure is final — the

@@ -200,7 +200,7 @@ pub fn dc_operating_point(ckt: &Circuit, opts: &DcOptions) -> Result<Vec<f64>, E
     // refactor: on the sparse backend a shared workspace would replay the
     // first stage's pivot order into later stages, which is legitimate but
     // not bit-identical to the historical per-stage fresh analysis.
-    dc_operating_point_impl(ckt, opts, None)
+    dc_operating_point_inner(ckt, opts, None, None)
 }
 
 /// [`dc_operating_point`] with an explicit factorization workspace shared
@@ -218,13 +218,13 @@ pub fn dc_operating_point_with(
     opts: &DcOptions,
     jws: &mut JacobianWorkspace,
 ) -> Result<Vec<f64>, EngineError> {
-    dc_operating_point_impl(ckt, opts, Some(jws))
+    dc_operating_point_inner(ckt, opts, Some(jws), None)
 }
 
-/// [`dc_operating_point_with`] that also records one [`crate::retry::Attempt`]
+/// [`dc_operating_point`] that also records one [`crate::retry::Attempt`]
 /// per homotopy stage solve (direct, each gmin-schedule entry, each source
 /// step) into `diag`, in the order they ran. This is the trail the
-/// retry/escalation layer and campaign diagnostics report.
+/// retry/escalation layer reports.
 ///
 /// # Errors
 ///
@@ -232,18 +232,9 @@ pub fn dc_operating_point_with(
 pub fn dc_operating_point_traced(
     ckt: &Circuit,
     opts: &DcOptions,
-    jws: Option<&mut JacobianWorkspace>,
     diag: &mut SolveDiagnostics,
 ) -> Result<Vec<f64>, EngineError> {
-    dc_operating_point_inner(ckt, opts, jws, Some(diag))
-}
-
-fn dc_operating_point_impl(
-    ckt: &Circuit,
-    opts: &DcOptions,
-    jws: Option<&mut JacobianWorkspace>,
-) -> Result<Vec<f64>, EngineError> {
-    dc_operating_point_inner(ckt, opts, jws, None)
+    dc_operating_point_inner(ckt, opts, None, Some(diag))
 }
 
 fn dc_operating_point_inner(

@@ -14,13 +14,17 @@
 //!    [`StepControl::Adaptive`](crate::tran::StepControl) this rung also
 //!    tightens `reltol`/`abstol` 10×, since the LTE controller, not `dt`,
 //!    owns the accepted step sizes there,
-//! 4. **the other [`SolverKind`] backend** — a pivot order that breaks down
-//!    in one elimination scheme may survive the other.
+//! 4. **the other [`SolverKind`] backend** ([`flip`]) — a pivot order that
+//!    breaks down in one elimination scheme may survive the other.
 //!
-//! Rungs that do not apply to an analysis are skipped; escalations are
-//! cumulative (the denser gmin schedule stays in force while source steps
-//! increase). A tripped [`EngineError::BudgetExceeded`] is *not* retried:
-//! the budget is a global bound and every further attempt would re-trip it.
+//! Each analysis walks the rungs that apply to it, in this order —
+//! [`DC_LADDER`] for operating points, [`TRAN_LADDER`] for transient and
+//! periodic solves — running at most [`RetryPolicy::max_attempts`] of them.
+//! Escalations are cumulative (the denser gmin schedule stays in force
+//! while source steps increase). A tripped [`EngineError::BudgetExceeded`]
+//! is *not* retried: the budget is a global bound and every further
+//! attempt would re-trip it. [`run_ladder`] is the one loop that walks a
+//! ladder, for the engine's entry points and the scenario campaign alike.
 //!
 //! Every attempt — including the homotopy stages inside a DC attempt — is
 //! recorded in a [`SolveDiagnostics`] trail, so a campaign report can say
@@ -65,44 +69,27 @@ use tranvar_circuit::Circuit;
 /// wall-clock deadline has already expired (see `run_ladder`).
 pub const DEADLINE_SHORT_CIRCUIT: &str = "deadline-short-circuit";
 
-/// Bounds and enables the escalation ladder. The default enables every
-/// rung with at most 5 total attempts.
+/// Bounds the escalation ladder: at most `max_attempts` rungs run,
+/// counting the initial attempt. The ladder itself is fixed per analysis
+/// ([`DC_LADDER`], [`TRAN_LADDER`]); a bound of 1 truncates it to
+/// [`Escalation::Initial`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Maximum total attempts, including the initial one.
     pub max_attempts: usize,
-    /// Enable the denser-gmin-schedule rung (DC).
-    pub denser_gmin: bool,
-    /// Enable the more-source-steps rung (DC).
-    pub more_source_steps: bool,
-    /// Enable the halved-timestep rung (transient / periodic).
-    pub halve_timestep: bool,
-    /// Enable the other-backend rung.
-    pub switch_backend: bool,
 }
 
 impl Default for RetryPolicy {
+    /// Every rung of every ladder (the longest, [`DC_LADDER`], has 4).
     fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 5,
-            denser_gmin: true,
-            more_source_steps: true,
-            halve_timestep: true,
-            switch_backend: true,
-        }
+        RetryPolicy { max_attempts: 5 }
     }
 }
 
 impl RetryPolicy {
     /// A policy that never retries (single attempt).
     pub fn none() -> Self {
-        RetryPolicy {
-            max_attempts: 1,
-            denser_gmin: false,
-            more_source_steps: false,
-            halve_timestep: false,
-            switch_backend: false,
-        }
+        RetryPolicy { max_attempts: 1 }
     }
 }
 
@@ -188,11 +175,6 @@ impl SolveDiagnostics {
             .filter(|a| a.stage.starts_with("retry["))
             .count()
     }
-
-    /// Merges another trail's attempts onto this one.
-    pub fn extend(&mut self, other: SolveDiagnostics) {
-        self.attempts.extend(other.attempts);
-    }
 }
 
 /// True when the retry ladder is allowed to re-attempt after `e`.
@@ -207,7 +189,8 @@ pub fn is_retryable(e: &EngineError) -> bool {
     )
 }
 
-fn flip(kind: SolverKind) -> SolverKind {
+/// The backend the [`Escalation::SwitchBackend`] rung switches to.
+pub fn flip(kind: SolverKind) -> SolverKind {
     match kind {
         SolverKind::Dense => SolverKind::Sparse,
         // Both sparse variants fall back to the dense kernel, whose fresh
@@ -233,33 +216,21 @@ fn densify_gmin(schedule: &[f64]) -> Vec<f64> {
     out
 }
 
-/// The ladder for DC solves under `policy` (timestep rung skipped).
-pub(crate) fn dc_ladder(policy: &RetryPolicy) -> Vec<Escalation> {
-    let mut l = vec![Escalation::Initial];
-    if policy.denser_gmin {
-        l.push(Escalation::DenserGmin);
-    }
-    if policy.more_source_steps {
-        l.push(Escalation::MoreSourceSteps);
-    }
-    if policy.switch_backend {
-        l.push(Escalation::SwitchBackend);
-    }
-    l
-}
+/// The ladder for DC solves (the timestep rung does not apply).
+pub const DC_LADDER: &[Escalation] = &[
+    Escalation::Initial,
+    Escalation::DenserGmin,
+    Escalation::MoreSourceSteps,
+    Escalation::SwitchBackend,
+];
 
-/// The ladder for transient solves under `policy` (gmin/source rungs are
+/// The ladder for transient and periodic solves (gmin/source rungs are
 /// DC-seed concerns and skipped here).
-pub(crate) fn tran_ladder(policy: &RetryPolicy) -> Vec<Escalation> {
-    let mut l = vec![Escalation::Initial];
-    if policy.halve_timestep {
-        l.push(Escalation::HalveTimestep);
-    }
-    if policy.switch_backend {
-        l.push(Escalation::SwitchBackend);
-    }
-    l
-}
+pub const TRAN_LADDER: &[Escalation] = &[
+    Escalation::Initial,
+    Escalation::HalveTimestep,
+    Escalation::SwitchBackend,
+];
 
 /// Applies one rung (cumulatively) to DC options.
 pub(crate) fn apply_dc(opts: &mut DcOptions, esc: Escalation) {
@@ -289,13 +260,16 @@ pub(crate) fn apply_tran(opts: &mut TranOptions, esc: Escalation) {
     }
 }
 
-/// Runs the escalation loop shared by every resilient entry point.
+/// Walks `ladder` — the one escalation loop behind every resilient entry
+/// point, engine and campaign alike.
 ///
-/// `solve_one(i, esc, diag)` performs attempt `i` at rung `esc`; the
-/// fault-injection site [`fault::sites::RETRY_ATTEMPT`] can fail any
-/// attempt by index before the real solve runs. Each attempt is recorded;
-/// non-retryable errors (including budget exhaustion) end the loop
-/// immediately.
+/// `solve_one(esc, diag)` performs one attempt at rung `esc`, applying the
+/// rung's escalation itself; the fault-injection site
+/// [`fault::sites::RETRY_ATTEMPT`] can fail any attempt by index before
+/// `solve_one` runs. At most `max_attempts` rungs run. Each attempt is
+/// recorded as `retry[i]:<label>` with its failure seen through `view`;
+/// an error `retryable` rejects (including budget exhaustion) ends the
+/// loop immediately.
 ///
 /// The ladder is deadline-aware: before every rung (including the first) it
 /// checks whether `budget`'s wall-clock deadline has already expired, and if
@@ -305,13 +279,15 @@ pub(crate) fn apply_tran(opts: &mut TranOptions, esc: Escalation) {
 /// delays the typed [`EngineError::BudgetExceeded`] the caller is owed. The
 /// short-circuit is recorded as `retry[i]:deadline-short-circuit` in the
 /// trail so diagnostics distinguish "rung i never ran" from "rung i failed".
-pub(crate) fn run_ladder<T>(
+pub fn run_ladder<T, E: From<EngineError>>(
     ladder: &[Escalation],
     max_attempts: usize,
     budget: &SolveBudget,
     diag: &mut SolveDiagnostics,
-    mut solve_one: impl FnMut(Escalation, &mut SolveDiagnostics) -> Result<T, EngineError>,
-) -> Result<T, EngineError> {
+    retryable: impl Fn(&E) -> bool,
+    view: impl Fn(&E) -> EngineError,
+    mut solve_one: impl FnMut(Escalation, &mut SolveDiagnostics) -> Result<T, E>,
+) -> Result<T, E> {
     let n = ladder.len().min(max_attempts.max(1));
     let mut last_err = None;
     for (i, &esc) in ladder.iter().take(n).enumerate() {
@@ -321,48 +297,49 @@ pub(crate) fn run_ladder<T>(
                 format!("retry[{i}]:{DEADLINE_SHORT_CIRCUIT}"),
                 Some(e.clone()),
             );
-            return Err(e);
+            return Err(e.into());
         }
         let res = match fault::attempt_fault(fault::sites::RETRY_ATTEMPT, i) {
-            Some(e) => Err(e),
+            Some(e) => Err(e.into()),
             None => solve_one(esc, diag),
         };
         diag.record(
             format!("retry[{i}]:{}", esc.label()),
-            res.as_ref().err().cloned(),
+            res.as_ref().err().map(&view),
         );
         match res {
             Ok(x) => return Ok(x),
-            Err(e) if is_retryable(&e) => last_err = Some(e),
+            Err(e) if retryable(&e) => last_err = Some(e),
             Err(e) => return Err(e),
         }
     }
-    Err(last_err.unwrap_or_else(|| EngineError::BadConfig("retry ladder ran no attempts".into())))
+    Err(last_err
+        .unwrap_or_else(|| EngineError::BadConfig("retry ladder ran no attempts".into()).into()))
 }
 
 /// DC operating point with retry/fallback escalation; returns the result
 /// together with the full attempt trail.
 ///
 /// Uses fresh per-attempt solver workspaces so the backend-switch rung is
-/// exact; for session-cached solves see
-/// [`crate::session::Session::dc_operating_point_resilient`].
+/// exact.
 pub fn dc_operating_point_resilient(
     ckt: &Circuit,
     opts: &DcOptions,
     policy: &RetryPolicy,
 ) -> (Result<Vec<f64>, EngineError>, SolveDiagnostics) {
     let mut diag = SolveDiagnostics::new();
-    let ladder = dc_ladder(policy);
     let budget = opts.newton.budget.clone();
     let mut cur = opts.clone();
     let res = run_ladder(
-        &ladder,
+        DC_LADDER,
         policy.max_attempts,
         &budget,
         &mut diag,
+        is_retryable,
+        EngineError::clone,
         |esc, diag| {
             apply_dc(&mut cur, esc);
-            dc_operating_point_traced(ckt, &cur, None, diag)
+            dc_operating_point_traced(ckt, &cur, diag)
         },
     );
     (res, diag)
@@ -376,14 +353,15 @@ pub fn transient_resilient(
     policy: &RetryPolicy,
 ) -> (Result<TranResult, EngineError>, SolveDiagnostics) {
     let mut diag = SolveDiagnostics::new();
-    let ladder = tran_ladder(policy);
     let budget = opts.newton.budget.clone();
     let mut cur = opts.clone();
     let res = run_ladder(
-        &ladder,
+        TRAN_LADDER,
         policy.max_attempts,
         &budget,
         &mut diag,
+        is_retryable,
+        EngineError::clone,
         |esc, _diag| {
             apply_tran(&mut cur, esc);
             transient(ckt, &cur)
@@ -403,16 +381,6 @@ mod tests {
         assert!((d[1] - 1e-4).abs() < 1e-12);
         assert!((d[3] - 1e-6).abs() < 1e-14);
         assert_eq!(d[4], 1e-7);
-    }
-
-    #[test]
-    fn ladders_respect_policy_switches() {
-        let all = RetryPolicy::default();
-        assert_eq!(dc_ladder(&all).len(), 4);
-        assert_eq!(tran_ladder(&all).len(), 3);
-        let none = RetryPolicy::none();
-        assert_eq!(dc_ladder(&none), vec![Escalation::Initial]);
-        assert_eq!(tran_ladder(&none), vec![Escalation::Initial]);
     }
 
     #[test]
@@ -468,9 +436,34 @@ mod tests {
         assert!(!is_retryable(&EngineError::BadConfig("x".into())));
     }
 
+    /// Walks `ladder` with every attempt running `work`, then failing
+    /// retryably.
+    fn fail_every_rung(
+        ladder: &[Escalation],
+        budget: &SolveBudget,
+        diag: &mut SolveDiagnostics,
+        mut work: impl FnMut(),
+    ) -> Result<(), EngineError> {
+        run_ladder(
+            ladder,
+            5,
+            budget,
+            diag,
+            is_retryable,
+            EngineError::clone,
+            |_, _| {
+                work();
+                Err(EngineError::NoConvergence {
+                    analysis: "test".into(),
+                    detail: "injected".into(),
+                })
+            },
+        )
+    }
+
     #[test]
     fn ladder_short_circuits_when_deadline_expires_mid_ladder() {
-        use crate::budget::{BudgetKind, BudgetLimits, SolveBudget};
+        use crate::budget::{BudgetKind, BudgetLimits};
         use std::time::Duration;
         // The deadline outlives attempt 0 but not the work attempt 0 does:
         // the ladder must refuse to start rung 1 and record why.
@@ -482,13 +475,9 @@ mod tests {
         ];
         let mut diag = SolveDiagnostics::new();
         let mut attempts_run = 0usize;
-        let res: Result<(), EngineError> = run_ladder(&ladder, 5, &budget, &mut diag, |_, _| {
+        let res = fail_every_rung(&ladder, &budget, &mut diag, || {
             attempts_run += 1;
             std::thread::sleep(Duration::from_millis(30));
-            Err(EngineError::NoConvergence {
-                analysis: "test".into(),
-                detail: "injected".into(),
-            })
         });
         assert_eq!(attempts_run, 1, "escalation must stop at the dead deadline");
         match res {
@@ -510,15 +499,10 @@ mod tests {
 
     #[test]
     fn ladder_without_deadline_never_short_circuits() {
-        let budget = crate::budget::SolveBudget::unlimited();
+        let budget = SolveBudget::unlimited();
         let ladder = [Escalation::Initial, Escalation::SwitchBackend];
         let mut diag = SolveDiagnostics::new();
-        let res: Result<(), EngineError> = run_ladder(&ladder, 5, &budget, &mut diag, |_, _| {
-            Err(EngineError::NoConvergence {
-                analysis: "test".into(),
-                detail: "injected".into(),
-            })
-        });
+        let res = fail_every_rung(&ladder, &budget, &mut diag, || {});
         assert!(matches!(res, Err(EngineError::NoConvergence { .. })));
         assert_eq!(diag.retry_attempts(), 2);
     }

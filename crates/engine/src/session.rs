@@ -34,9 +34,8 @@
 //! layer (`tranvar-core`): one session per worker, scenarios revalued onto
 //! the same sparsity pattern, every solve after the first a pure replay.
 
-use crate::dc::{dc_operating_point_traced, dc_operating_point_with, DcOptions};
+use crate::dc::{dc_operating_point_with, DcOptions};
 use crate::error::EngineError;
-use crate::retry::{self, Escalation, RetryPolicy, SolveDiagnostics};
 use crate::solver::{JacobianWorkspace, SolverKind, SolverStats};
 use crate::tran::{transient_with, CycleWorkspace, TranOptions, TranResult};
 use crate::transens::{transient_with_sensitivities_with, SensInit, TranSensResult};
@@ -100,9 +99,6 @@ pub struct Session {
     /// Workspace chain for the dynamic pattern `θ·G + C/h + gmin·I`
     /// (transient steps, cycle integrations, sensitivity windows).
     cycle: CycleWorkspace,
-    /// Retry-escalation attempts beyond the first, summed over every
-    /// resilient solve run through the session.
-    retries: u64,
 }
 
 impl Session {
@@ -113,7 +109,6 @@ impl Session {
             threads: opts.threads,
             static_ws: None,
             cycle: CycleWorkspace::new(),
-            retries: 0,
         }
     }
 
@@ -192,93 +187,6 @@ impl Session {
         };
         let jws = self.static_workspace();
         dc_operating_point_with(ckt, &eff, jws)
-    }
-
-    /// Retry-escalation attempts beyond the first, summed over every
-    /// resilient solve run through this session — the campaign-level
-    /// companion counter to the per-solve [`SolveDiagnostics`] trail.
-    pub fn retry_attempts(&self) -> u64 {
-        self.retries
-    }
-
-    /// [`Session::dc_operating_point`] with retry/fallback escalation (see
-    /// [`crate::retry`]); returns the result together with the full attempt
-    /// trail.
-    ///
-    /// Non-backend-switching attempts run through the session's cached
-    /// static workspace; the switch-backend rung uses a throwaway workspace
-    /// of the other [`SolverKind`] so the session's replayed pivot state is
-    /// never polluted by a rescue attempt.
-    pub fn dc_operating_point_resilient(
-        &mut self,
-        ckt: &Circuit,
-        opts: &DcOptions,
-        policy: &RetryPolicy,
-    ) -> (Result<Vec<f64>, EngineError>, SolveDiagnostics) {
-        let mut diag = SolveDiagnostics::new();
-        let mut cur = DcOptions {
-            newton: self.newton_for(&opts.newton),
-            ..opts.clone()
-        };
-        let ladder = retry::dc_ladder(policy);
-        let budget = cur.newton.budget.clone();
-        let res = retry::run_ladder(
-            &ladder,
-            policy.max_attempts,
-            &budget,
-            &mut diag,
-            |esc, diag| {
-                if !matches!(esc, Escalation::Initial) {
-                    self.retries += 1;
-                }
-                retry::apply_dc(&mut cur, esc);
-                if matches!(esc, Escalation::SwitchBackend) {
-                    let mut ws = JacobianWorkspace::new(cur.newton.solver);
-                    dc_operating_point_traced(ckt, &cur, Some(&mut ws), diag)
-                } else {
-                    dc_operating_point_traced(ckt, &cur, Some(self.static_workspace()), diag)
-                }
-            },
-        );
-        (res, diag)
-    }
-
-    /// [`Session::transient`] with retry/fallback escalation; returns the
-    /// result together with the attempt trail. The switch-backend rung runs
-    /// on a throwaway workspace chain, like
-    /// [`Session::dc_operating_point_resilient`].
-    pub fn transient_resilient(
-        &mut self,
-        ckt: &Circuit,
-        opts: &TranOptions,
-        policy: &RetryPolicy,
-    ) -> (Result<TranResult, EngineError>, SolveDiagnostics) {
-        let mut diag = SolveDiagnostics::new();
-        let mut cur = opts.clone();
-        let ladder = retry::tran_ladder(policy);
-        let budget = cur.newton.budget.clone();
-        let res = retry::run_ladder(
-            &ladder,
-            policy.max_attempts,
-            &budget,
-            &mut diag,
-            |esc, _diag| {
-                if !matches!(esc, Escalation::Initial) {
-                    self.retries += 1;
-                }
-                retry::apply_tran(&mut cur, esc);
-                if matches!(esc, Escalation::SwitchBackend) {
-                    let mut fresh = Session::new(SessionOptions {
-                        solver: cur.newton.solver,
-                        threads: self.threads,
-                    });
-                    fresh.transient(ckt, &cur)
-                } else {
-                    self.transient(ckt, &cur)
-                }
-            },
-        );
-        (res, diag)
     }
 
     /// Transient analysis through the session's dynamic-pattern workspace.

@@ -65,7 +65,7 @@ fn common_source() -> Circuit {
 fn direct_stage_converges_with_single_attempt_trail() {
     let ckt = divider();
     let mut diag = SolveDiagnostics::new();
-    let x = dc_operating_point_traced(&ckt, &DcOptions::default(), None, &mut diag).unwrap();
+    let x = dc_operating_point_traced(&ckt, &DcOptions::default(), &mut diag).unwrap();
     let b = ckt.find_node("b").unwrap();
     assert!((ckt.voltage(&x, b) - 1.0).abs() < 1e-6);
     assert_eq!(diag.stages(), vec!["dc:direct"]);
@@ -80,7 +80,7 @@ fn gmin_stepping_rescues_failed_direct_stage() {
         .install();
     let mut diag = SolveDiagnostics::new();
     let opts = DcOptions::default();
-    let x = dc_operating_point_traced(&ckt, &opts, None, &mut diag).unwrap();
+    let x = dc_operating_point_traced(&ckt, &opts, &mut diag).unwrap();
     let b = ckt.find_node("b").unwrap();
     assert!((ckt.voltage(&x, b) - 1.0).abs() < 1e-6);
     let stages = diag.stages();
@@ -102,7 +102,7 @@ fn source_stepping_rescues_failed_gmin_walk() {
         .install();
     let mut diag = SolveDiagnostics::new();
     let opts = DcOptions::default();
-    let x = dc_operating_point_traced(&ckt, &opts, None, &mut diag).unwrap();
+    let x = dc_operating_point_traced(&ckt, &opts, &mut diag).unwrap();
     let b = ckt.find_node("b").unwrap();
     assert!((ckt.voltage(&x, b) - 1.0).abs() < 1e-6);
     let stages = diag.stages();
@@ -123,7 +123,7 @@ fn injected_singular_factor_is_rescued_by_homotopy() {
         .fail(sites::FACTOR, 0, FaultAction::Singular)
         .install();
     let mut diag = SolveDiagnostics::new();
-    let x = dc_operating_point_traced(&ckt, &DcOptions::default(), None, &mut diag).unwrap();
+    let x = dc_operating_point_traced(&ckt, &DcOptions::default(), &mut diag).unwrap();
     let b = ckt.find_node("b").unwrap();
     assert!((ckt.voltage(&x, b) - 1.0).abs() < 1e-6);
     assert!(matches!(
@@ -139,7 +139,7 @@ fn injected_non_finite_factor_is_distinct_from_singular() {
         .fail(sites::FACTOR, 0, FaultAction::NonFinite)
         .install();
     let mut diag = SolveDiagnostics::new();
-    let _ = dc_operating_point_traced(&ckt, &DcOptions::default(), None, &mut diag).unwrap();
+    let _ = dc_operating_point_traced(&ckt, &DcOptions::default(), &mut diag).unwrap();
     assert!(matches!(
         diag.attempts[0].error,
         Some(EngineError::Num(NumError::NonFinite { .. }))
@@ -175,7 +175,7 @@ fn poisoned_direct_stage_is_rescued_by_gmin_walk() {
         .fail(sites::DC_RESIDUAL, 0, FaultAction::PoisonNan)
         .install();
     let mut diag = SolveDiagnostics::new();
-    let x = dc_operating_point_traced(&ckt, &DcOptions::default(), None, &mut diag).unwrap();
+    let x = dc_operating_point_traced(&ckt, &DcOptions::default(), &mut diag).unwrap();
     let b = ckt.find_node("b").unwrap();
     assert!((ckt.voltage(&x, b) - 1.0).abs() < 1e-6);
     assert!(matches!(
@@ -314,10 +314,7 @@ fn max_attempts_bounds_the_ladder() {
     let _guard = FaultPlan::new()
         .fail_range(sites::RETRY_ATTEMPT, 0, 4, FaultAction::NoConverge)
         .install();
-    let policy = RetryPolicy {
-        max_attempts: 2,
-        ..RetryPolicy::default()
-    };
+    let policy = RetryPolicy { max_attempts: 2 };
     let (res, diag) = dc_operating_point_resilient(&ckt, &DcOptions::default(), &policy);
     assert!(matches!(res, Err(EngineError::NoConvergence { .. })));
     assert_eq!(diag.retry_attempts(), 2);

@@ -129,13 +129,14 @@
 //!   [`num::NumError::Singular`]: a zero pivot may be rescued by gmin
 //!   regularization, garbage operands need the model repaired.
 //! - **Retry escalation** — [`engine::RetryPolicy`] re-attempts retryable
-//!   failures ([`engine::is_retryable`]) up a bounded ladder: denser gmin
-//!   schedule, more source steps, halved timestep, the other
-//!   [`engine::SolverKind`]. Every attempt (and every homotopy stage) is
-//!   recorded in [`engine::SolveDiagnostics`], so callers see exactly
-//!   which path rescued a solve. The default policy is
-//!   [`engine::RetryPolicy::none`] — results stay bit-identical unless
-//!   you opt in (e.g. [`core::Campaign::with_retry`]).
+//!   failures ([`engine::is_retryable`]) up a fixed ladder, bounded by its
+//!   one knob `max_attempts`: denser gmin schedule, more source steps,
+//!   halved timestep, the other [`engine::SolverKind`]. Every attempt (and
+//!   every homotopy stage) is recorded in [`engine::SolveDiagnostics`], so
+//!   callers see exactly which path rescued a solve. Every entry point
+//!   makes a single attempt unless the caller passes a policy (e.g.
+//!   [`core::Campaign::with_retry`]), so results stay bit-identical unless
+//!   you opt in.
 //! - **Panic isolation** — [`core::Campaign`] catches worker panics,
 //!   reports them as typed [`core::CoreError::Panic`] outcomes for the
 //!   affected scenarios, retires the poisoned session, and keeps the

@@ -8,7 +8,7 @@
 //!   bit-identity to that loop, which is also the correctness oracle;
 //! * Markowitz-ordered replay (`refactor`) vs a fresh analyze+factor —
 //!   gated on speedup and bit-identity of the solutions;
-//! * fill-in of the ordered vs natural factorizations on the DAC and
+//! * fill-in of the Markowitz-ordered factorizations on the DAC and
 //!   StrongARM Jacobian patterns (informational);
 //! * the dense/sparse crossover sweep on ladder-pattern matrices that
 //!   calibrates `SolverKind::auto_for` (informational).
@@ -166,7 +166,7 @@ fn main() {
         &mut |blk, scr| dense.solve_multi_lanes(blk, n_rhs, scr),
     );
 
-    // --- Same comparison on the sparse (natural-order) backend. ---
+    // --- Same comparison on the sparse (Markowitz-ordered) backend. ---
     let sparse = csc.lu().expect("sparse lu");
     let mut sscr = vec![0.0; n];
     let lane_sparse = bench_lanes(
@@ -179,18 +179,17 @@ fn main() {
     );
 
     // --- Markowitz-ordered replay vs fresh analyze+factor. ---
-    let ordered = csc.lu_markowitz().expect("markowitz lu");
     let mut rng = Rng64::seed_from(0x0BDE8);
     let b: Vec<f64> = (0..n).map(|_| 2.0 * rng.uniform() - 1.0).collect();
-    let mut replayed = ordered.clone();
+    let mut replayed = sparse.clone();
     replayed.refactor(&csc).expect("replay refactor");
     let mut xo = vec![0.0; n];
     let mut xr = vec![0.0; n];
-    ordered.solve_into(&b, &mut xo, &mut sscr);
+    sparse.solve_into(&b, &mut xo, &mut sscr);
     replayed.solve_into(&b, &mut xr, &mut sscr);
     let replay_diff = bitwise_diff("lu_kernels/ordered_replay", &xr, &xo);
     let ftimes = bench_times(5, budget_s, || {
-        std::hint::black_box(csc.lu_markowitz().expect("markowitz lu"));
+        std::hint::black_box(csc.lu().expect("markowitz lu"));
     });
     let rtimes = bench_times(5, budget_s, || {
         replayed.refactor(&csc).expect("replay refactor");
@@ -204,16 +203,14 @@ fn main() {
         fmt_time(replay_s)
     );
 
-    // --- Fill-in, ordered vs natural, on the DAC and StrongARM patterns. ---
+    // --- Fill-in of the ordered factors on the DAC and StrongARM patterns. ---
     let dac = RStringDac::new(6, 1e3, 0.01, 1.2);
     let dac_csc = circuit_jacobian(&dac.circuit);
-    let dac_natural = dac_csc.lu().expect("dac natural").factor_nnz();
-    let dac_ordered = dac_csc.lu_markowitz().expect("dac ordered").factor_nnz();
+    let dac_ordered = dac_csc.lu().expect("dac ordered").factor_nnz();
     let sa = StrongArm::paper(&tech);
     let sa_csc = circuit_jacobian(&sa.circuit);
-    let sa_natural = sa_csc.lu().expect("sa natural").factor_nnz();
-    let sa_ordered = sa_csc.lu_markowitz().expect("sa ordered").factor_nnz();
-    println!("lu_kernels/fill dac {dac_natural} -> {dac_ordered}, strongarm {sa_natural} -> {sa_ordered}");
+    let sa_ordered = sa_csc.lu().expect("sa ordered").factor_nnz();
+    println!("lu_kernels/fill dac {dac_ordered}, strongarm {sa_ordered}");
 
     // --- Dense/sparse crossover sweep on ladder-pattern matrices. ---
     // Steady-state engine pattern (what `JacobianWorkspace` does every
@@ -237,7 +234,7 @@ fn main() {
             block.copy_from_slice(&block0);
             dlu.solve_multi_lanes(&mut block, p, &mut scr);
         });
-        let mut slu = m.lu_markowitz().expect("sweep sparse lu");
+        let mut slu = m.lu().expect("sweep sparse lu");
         let st = bench_times(3, budget_s / 4.0, || {
             slu.refactor(&m).expect("sweep sparse refactor");
             block.copy_from_slice(&block0);
@@ -295,9 +292,7 @@ fn main() {
             "    \"max_abs_diff\": {:.3e}\n",
             "  }},\n",
             "  \"fill\": {{\n",
-            "    \"dac_natural_nnz\": {},\n",
             "    \"dac_ordered_nnz\": {},\n",
-            "    \"strongarm_natural_nnz\": {},\n",
             "    \"strongarm_ordered_nnz\": {}\n",
             "  }},\n",
             "  \"crossover\": {{\n",
@@ -320,9 +315,7 @@ fn main() {
         replay_s,
         replay_speedup,
         replay_diff,
-        dac_natural,
         dac_ordered,
-        sa_natural,
         sa_ordered,
         crossover_n,
         sweep_json.join(",\n")

@@ -67,38 +67,16 @@ impl Default for DcOptions {
     }
 }
 
-/// One static Newton solve at time `t` with a fixed `gmin`.
+/// One static Newton solve at time `t` with a fixed `gmin`, factoring
+/// through `jws` so repeated static solves (gmin stepping, source stepping,
+/// one-session scenario sweeps) reuse the staged pattern and — for the
+/// sparse backend — the symbolic ordering analysis. For the dense backend
+/// the results are bit-identical to a solve on a fresh workspace.
 ///
 /// # Errors
 ///
 /// Returns [`EngineError::NoConvergence`] if the iteration stalls, or a
 /// numerical error for a singular Jacobian.
-pub fn solve_static(
-    ckt: &Circuit,
-    t: f64,
-    gmin: f64,
-    x0: &[f64],
-    opts: &NewtonOptions,
-) -> Result<Vec<f64>, EngineError> {
-    solve_static_with(
-        ckt,
-        t,
-        gmin,
-        x0,
-        opts,
-        &mut JacobianWorkspace::new(opts.solver),
-    )
-}
-
-/// [`solve_static`] with an explicit factorization workspace, so repeated
-/// static solves (gmin stepping, source stepping, one-session scenario
-/// sweeps) reuse the staged pattern and — for the sparse backend — the
-/// symbolic pivot analysis. For the dense backend the results are
-/// bit-identical to a fresh per-call solve.
-///
-/// # Errors
-///
-/// See [`solve_static`].
 pub fn solve_static_with(
     ckt: &Circuit,
     t: f64,
@@ -173,7 +151,7 @@ pub fn solve_static_with(
 /// Computes the DC operating point (sources evaluated at `t = 0`).
 ///
 /// Tries plain Newton first, then walks the gmin schedule, then falls back to
-/// source stepping.
+/// source stepping. Every stage factors through one [`JacobianWorkspace`].
 ///
 /// # Errors
 ///
@@ -196,19 +174,16 @@ pub fn solve_static_with(
 /// # Ok::<(), tranvar_engine::EngineError>(())
 /// ```
 pub fn dc_operating_point(ckt: &Circuit, opts: &DcOptions) -> Result<Vec<f64>, EngineError> {
-    // A fresh workspace per homotopy stage, exactly as before the session
-    // refactor: on the sparse backend a shared workspace would replay the
-    // first stage's pivot order into later stages, which is legitimate but
-    // not bit-identical to the historical per-stage fresh analysis.
-    dc_operating_point_inner(ckt, opts, None, None)
+    let mut jws = JacobianWorkspace::new(opts.newton.solver);
+    dc_operating_point_inner(ckt, opts, &mut jws, None)
 }
 
-/// [`dc_operating_point`] with an explicit factorization workspace shared
-/// across every homotopy stage (and across calls, for one-session scenario
-/// sweeps). The static MNA pattern `G + gmin·I` is staged once and every
-/// subsequent solve refactors in place; for the dense backend the results
-/// are bit-identical to the per-call path, while the sparse backend replays
-/// the first solve's pivot order (machine-precision identical).
+/// [`dc_operating_point`] with an explicit factorization workspace, shared
+/// across calls for one-session scenario sweeps. The static MNA pattern
+/// `G + gmin·I` is staged once and every subsequent solve refactors in
+/// place; for the dense backend the results are bit-identical to the
+/// per-call path, while the sparse backend replays an earlier call's pivot
+/// order (machine-precision identical).
 ///
 /// # Errors
 ///
@@ -218,7 +193,7 @@ pub fn dc_operating_point_with(
     opts: &DcOptions,
     jws: &mut JacobianWorkspace,
 ) -> Result<Vec<f64>, EngineError> {
-    dc_operating_point_inner(ckt, opts, Some(jws), None)
+    dc_operating_point_inner(ckt, opts, jws, None)
 }
 
 /// [`dc_operating_point`] that also records one [`crate::retry::Attempt`]
@@ -234,13 +209,14 @@ pub fn dc_operating_point_traced(
     opts: &DcOptions,
     diag: &mut SolveDiagnostics,
 ) -> Result<Vec<f64>, EngineError> {
-    dc_operating_point_inner(ckt, opts, None, Some(diag))
+    let mut jws = JacobianWorkspace::new(opts.newton.solver);
+    dc_operating_point_inner(ckt, opts, &mut jws, Some(diag))
 }
 
 fn dc_operating_point_inner(
     ckt: &Circuit,
     opts: &DcOptions,
-    mut jws: Option<&mut JacobianWorkspace>,
+    jws: &mut JacobianWorkspace,
     mut diag: Option<&mut SolveDiagnostics>,
 ) -> Result<Vec<f64>, EngineError> {
     // Every homotopy stage funnels through here: the fault harness can fail
@@ -250,16 +226,12 @@ fn dc_operating_point_inner(
                      gmin: f64,
                      x0: &[f64],
                      stage: &dyn Fn() -> String,
-                     jws: &mut Option<&mut JacobianWorkspace>,
                      diag: &mut Option<&mut SolveDiagnostics>| {
         let idx = attempt_no;
         attempt_no += 1;
         let res = match fault::attempt_fault(fault::sites::DC_STAGE, idx) {
             Some(e) => Err(e),
-            None => match jws.as_deref_mut() {
-                Some(ws) => solve_static_with(ckt, 0.0, gmin, x0, &opts.newton, ws),
-                None => solve_static(ckt, 0.0, gmin, x0, &opts.newton),
-            },
+            None => solve_static_with(ckt, 0.0, gmin, x0, &opts.newton, jws),
         };
         if let Some(d) = diag.as_deref_mut() {
             d.record(stage(), res.as_ref().err().cloned());
@@ -271,14 +243,7 @@ fn dc_operating_point_inner(
     let final_gmin = *opts.gmin_schedule.last().unwrap_or(&1e-12);
 
     // 1. Direct attempt at the target gmin.
-    match solve(
-        ckt,
-        final_gmin,
-        &x0,
-        &|| "dc:direct".into(),
-        &mut jws,
-        &mut diag,
-    ) {
+    match solve(ckt, final_gmin, &x0, &|| "dc:direct".into(), &mut diag) {
         Ok(x) => return Ok(x),
         // A tripped budget is a global bound: further homotopy stages would
         // only re-trip it, so it propagates instead of escalating.
@@ -289,14 +254,7 @@ fn dc_operating_point_inner(
     let mut x = x0.clone();
     let mut ok = true;
     for &g in &opts.gmin_schedule {
-        match solve(
-            ckt,
-            g,
-            &x,
-            &|| format!("dc:gmin[{g:.1e}]"),
-            &mut jws,
-            &mut diag,
-        ) {
+        match solve(ckt, g, &x, &|| format!("dc:gmin[{g:.1e}]"), &mut diag) {
             Ok(xs) => x = xs,
             Err(e @ EngineError::BudgetExceeded { .. }) => return Err(e),
             Err(_) => {
@@ -319,7 +277,6 @@ fn dc_operating_point_inner(
             final_gmin,
             &x,
             &|| format!("dc:source[{k}/{steps}]"),
-            &mut jws,
             &mut diag,
         )
         .map_err(|e| match e {

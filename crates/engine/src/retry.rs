@@ -14,8 +14,10 @@
 //!    [`StepControl::Adaptive`](crate::tran::StepControl) this rung also
 //!    tightens `reltol`/`abstol` 10×, since the LTE controller, not `dt`,
 //!    owns the accepted step sizes there,
-//! 4. **the other [`SolverKind`] backend** ([`flip`]) — a pivot order that
-//!    breaks down in one elimination scheme may survive the other.
+//! 4. **the other [`SolverKind`] backend** ([`flip`]) — dense partial
+//!    pivoting column by column versus the sparse Markowitz row-and-column
+//!    order: a pivot sequence that breaks down in one elimination scheme may
+//!    survive the other.
 //!
 //! Each analysis walks the rungs that apply to it, in this order —
 //! [`DC_LADDER`] for operating points, [`TRAN_LADDER`] for transient and
@@ -193,9 +195,7 @@ pub fn is_retryable(e: &EngineError) -> bool {
 pub fn flip(kind: SolverKind) -> SolverKind {
     match kind {
         SolverKind::Dense => SolverKind::Sparse,
-        // Both sparse variants fall back to the dense kernel, whose fresh
-        // full pivot search is the most robust escape from a bad pivot order.
-        SolverKind::Sparse | SolverKind::SparseOrdered => SolverKind::Dense,
+        SolverKind::Sparse => SolverKind::Dense,
     }
 }
 

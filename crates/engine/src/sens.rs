@@ -249,11 +249,7 @@ mod tests {
         let asm = ckt.assemble(&x, 0.0);
         let n = asm.n;
         let n_node = ckt.n_nodes() - 1;
-        for kind in [
-            SolverKind::Dense,
-            SolverKind::Sparse,
-            SolverKind::SparseOrdered,
-        ] {
+        for kind in [SolverKind::Dense, SolverKind::Sparse] {
             let sens = dc_sensitivities(&ckt, &x, kind).unwrap();
             assert_eq!(sens.len(), p);
             let lu = FactoredJacobian::factor(kind, &asm, 1.0, 0.0, 1e-12, n_node).unwrap();

@@ -13,22 +13,22 @@
 //! - the **symbolic-analysis cache keyed by sparsity pattern**: one
 //!   [`JacobianWorkspace`] per pattern class (static solves, dynamic
 //!   integration), each retaining its staged structure, factor storage and
-//!   — for the sparse backend — the replayed pivot analysis across calls,
+//!   — for the sparse backend — the replayed Markowitz ordering across
+//!   calls,
 //! - the **thread policy**: a default worker count inherited by analyses
 //!   whose per-call options leave `threads` in automatic (`0`) mode,
 //! - [`SessionStats`] counters proving the reuse (a warm session performs
 //!   zero additional pattern builds or symbolic analyses per call).
 //!
 //! The existing free functions remain available as thin wrappers over a
-//! fresh session and are bit-identical to their pre-session behavior on
+//! fresh session and are bit-identical to their session counterparts on
 //! the dense backend (the default, and the recommended choice for every
 //! shipped circuit). The sparse backend replays a pivot order once found
-//! for as long as it stays numerically acceptable, so wherever the session
-//! introduces sharing that did not exist before — DC homotopy stages
-//! within one call, an oscillator warm-up feeding the shooting loop, and
-//! any *reused* session — sparse results may differ from a fresh pivot
-//! analysis by a (equally valid) pivot order: identical to machine
-//! precision, not necessarily to the last bit.
+//! for as long as it stays numerically acceptable, so wherever a workspace
+//! is shared — the DC homotopy stages of one call, an oscillator warm-up
+//! feeding the shooting loop, and any *reused* session — sparse results
+//! may differ from a fresh ordering analysis by a (equally valid) pivot
+//! order: identical to machine precision, not necessarily to the last bit.
 //!
 //! Sessions are the unit of worker-thread state in the scenario-campaign
 //! layer (`tranvar-core`): one session per worker, scenarios revalued onto
@@ -46,8 +46,8 @@ use tranvar_circuit::Circuit;
 pub struct SessionOptions {
     /// Linear-solver backend used by every analysis in the session.
     /// [`SolverKind::auto_for`] picks one from the circuit size; the
-    /// fill-reducing [`SolverKind::SparseOrdered`] backend is worthwhile for
-    /// large sparse substrates.
+    /// fill-reducing [`SolverKind::Sparse`] backend is worthwhile for large
+    /// sparse substrates.
     pub solver: SolverKind,
     /// Default worker-thread count for batched analyses run through the
     /// session, in the [`TranOptions::threads`] convention (`0` = all

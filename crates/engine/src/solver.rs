@@ -2,16 +2,17 @@
 //!
 //! Circuit Jacobians are assembled as sparse triplets; depending on
 //! [`SolverKind`] they are factored densely (fast and simple for the
-//! paper-scale benchmarks, tens of unknowns) or with the sparse
-//! Gilbert–Peierls kernel (larger substrates such as long RC ladders and wide
-//! ring oscillators). Both paths share one interface so the PSS/LPTV layers
-//! can cache per-timestep factorizations regardless of backend.
+//! paper-scale benchmarks, tens of unknowns) or with the Markowitz-ordered
+//! sparse Gilbert–Peierls kernel (larger substrates such as long RC ladders
+//! and wide ring oscillators). Both paths share one interface so the
+//! PSS/LPTV layers can cache per-timestep factorizations regardless of
+//! backend.
 //!
 //! # Choosing a backend
 //!
 //! The MNA pattern of a circuit is *fixed*: every timestep restamps the same
 //! coordinates. [`JacobianWorkspace`] exploits that by caching the sparsity
-//! structure, the symbolic elimination order, and every staging allocation
+//! structure, the symbolic elimination orders, and every staging allocation
 //! across factorizations, so per-timestep factors cost only the numeric
 //! work. Heuristics for [`SolverKind`]:
 //!
@@ -20,15 +21,11 @@
 //!   [`FactoredJacobian::solve_multi_lanes`] amortizes each factor row over
 //!   a whole block of right-hand sides. All paper benchmark circuits are in
 //!   this regime.
-//! - **Sparse**: the natural-column-order sparse backend; keeps bit-compat
-//!   replay semantics and wins when the Jacobian is large *and* sparse —
-//!   factor cost scales with fill-in rather than n³, and the symbolic split
-//!   means the pivot search is paid once per circuit rather than once per
-//!   timestep.
-//! - **SparseOrdered**: sparse with a Markowitz fill-reducing pivot order;
-//!   the least fill-in and the fastest replayed factorizations on ladder/
-//!   mesh-like substrates. [`SolverKind::auto_for`] encodes the measured
-//!   crossover.
+//! - **Sparse**: sparse LU with a Markowitz fill-reducing pivot order; wins
+//!   when the Jacobian is large *and* sparse — factor cost scales with
+//!   fill-in rather than n³, and the symbolic split means the ordering
+//!   analysis is paid once per circuit rather than once per timestep.
+//!   [`SolverKind::auto_for`] encodes the measured crossover.
 //!
 //! # Solving
 //!
@@ -41,7 +38,7 @@
 //! lane kernels and returns, per RHS, bit-for-bit the bits of `solve_into`.
 
 use tranvar_circuit::Assembly;
-use tranvar_num::{Csc, DMat, Lu, NumError, SparseLu, SparseSymbolic, Triplets};
+use tranvar_num::{Csc, DMat, Lu, NumError, SparseLu, Triplets};
 
 /// Dense/sparse crossover for [`SolverKind::auto_for`]: measured with the
 /// `lu_kernels` bench (steady-state refactor + multi-RHS lane solve on
@@ -64,21 +61,18 @@ pub enum SolverKind {
     /// benchmark circuits, below [`SPARSE_CROSSOVER_N`] unknowns).
     #[default]
     Dense,
-    /// Sparse left-looking LU in natural column order (bit-compat replay
-    /// path for larger circuits).
+    /// Sparse left-looking LU with a Markowitz fill-reducing pivot ordering
+    /// (threshold pivoting), replayed on every same-pattern refactorization.
+    /// For large sparse substrates; solutions agree with
+    /// [`SolverKind::Dense`] to machine precision but not bit-for-bit.
     Sparse,
-    /// Sparse LU with a Markowitz fill-reducing pivot ordering (threshold
-    /// pivoting). Lowest fill-in and fastest replays on large sparse
-    /// substrates; solutions agree with [`SolverKind::Sparse`] to machine
-    /// precision but not bit-for-bit.
-    SparseOrdered,
 }
 
 impl SolverKind {
     /// Picks a backend from the system dimension and stamp count:
     /// [`SolverKind::Dense`] below [`SPARSE_CROSSOVER_N`] unknowns or when
     /// the matrix is too full to profit from sparsity, otherwise
-    /// [`SolverKind::SparseOrdered`].
+    /// [`SolverKind::Sparse`].
     pub fn auto_for(n: usize, nnz: usize) -> SolverKind {
         if n < SPARSE_CROSSOVER_N {
             return SolverKind::Dense;
@@ -87,7 +81,7 @@ impl SolverKind {
         if density > DENSE_FILL_FRACTION {
             SolverKind::Dense
         } else {
-            SolverKind::SparseOrdered
+            SolverKind::Sparse
         }
     }
 }
@@ -126,7 +120,6 @@ impl FactoredJacobian {
         match kind {
             SolverKind::Dense => Ok(FactoredJacobian::Dense(csc.to_dense().lu()?)),
             SolverKind::Sparse => Ok(FactoredJacobian::Sparse(csc.lu()?)),
-            SolverKind::SparseOrdered => Ok(FactoredJacobian::Sparse(csc.lu_markowitz()?)),
         }
     }
 
@@ -237,7 +230,7 @@ impl CombineStage {
 ///   a fresh CSC pattern (sparse) or (re)allocating the dense storage. Paid
 ///   once per distinct MNA pattern the workspace ever sees.
 /// - `symbolic_analyses`: a full *analyzing* factorization ran — the sparse
-///   pivot search, or the first dense factorization into fresh storage.
+///   ordering analysis, or the first dense factorization into fresh storage.
 ///   A warm workspace replays this analysis instead of repeating it.
 /// - `numeric_factorizations`: value-level factorizations, including
 ///   replays; value-identical repeats are deduplicated and not counted.
@@ -245,7 +238,7 @@ impl CombineStage {
 pub struct SolverStats {
     /// Sparsity-pattern (re)builds (once per distinct MNA pattern).
     pub pattern_builds: usize,
-    /// Fresh analyzing factorizations (pivot search / storage build).
+    /// Fresh analyzing factorizations (ordering analysis / storage build).
     pub symbolic_analyses: usize,
     /// Numeric factorizations actually performed (replays included,
     /// value-identical repeats deduplicated).
@@ -270,10 +263,10 @@ impl SolverStats {
 ///
 /// - keeps the [`Triplets`]/[`Csc`] staging buffers alive and refills their
 ///   *values* in place,
-/// - for the sparse backend, performs the symbolic pivot analysis once and
-///   replays it on every subsequent factorization
-///   ([`SparseLu::refactor`] / [`Csc::lu_with`]), falling back to a fresh
-///   pivot search only if a replayed pivot goes numerically bad,
+/// - for the sparse backend, performs the symbolic ordering analysis once
+///   and replays it on every subsequent factorization
+///   ([`SparseLu::refactor`]), falling back to a fresh analysis only if a
+///   replayed pivot goes numerically bad,
 /// - for the dense backend, refactors into the same storage
 ///   ([`Lu::refactor`]) without cloning the matrix.
 ///
@@ -285,13 +278,13 @@ pub struct JacobianWorkspace {
     kind: SolverKind,
     tr: Triplets<f64>,
     csc: Option<Csc<f64>>,
-    symbolic: Option<SparseSymbolic>,
     dense: Option<DMat<f64>>,
     cached: Option<FactoredJacobian>,
-    /// Snapshot of the values the cached factorization was computed from.
-    /// A step's accepted-point Jacobian and the next step's warm-started
-    /// first Newton Jacobian share the same `G`/`C`, so the comparison
-    /// routinely deduplicates one numeric factorization per timestep.
+    /// Snapshot of the values the cached factorization was computed from,
+    /// recorded only once that factorization succeeded. A step's
+    /// accepted-point Jacobian and the next step's warm-started first
+    /// Newton Jacobian share the same `G`/`C`, so the comparison routinely
+    /// deduplicates one numeric factorization per timestep.
     snapshot: Vec<f64>,
     stats: SolverStats,
 }
@@ -303,7 +296,6 @@ impl JacobianWorkspace {
             kind,
             tr: Triplets::new(0, 0),
             csc: None,
-            symbolic: None,
             dense: None,
             cached: None,
             snapshot: Vec::new(),
@@ -375,8 +367,10 @@ impl JacobianWorkspace {
                 // repeats the previous accepted-point Jacobian).
                 let unchanged = self.cached.is_some() && self.snapshot == dense.as_slice();
                 if !unchanged {
+                    // The snapshot is recorded only after a successful
+                    // factorization: a failed one must not let the next
+                    // same-values call hand back the stale factor.
                     self.snapshot.clear();
-                    self.snapshot.extend_from_slice(dense.as_slice());
                     self.stats.numeric_factorizations += 1;
                     match self.cached.as_mut() {
                         Some(FactoredJacobian::Dense(lu)) if lu.n() == asm.n => {
@@ -387,9 +381,10 @@ impl JacobianWorkspace {
                             self.cached = Some(FactoredJacobian::Dense(dense.clone().lu()?));
                         }
                     }
+                    self.snapshot.extend_from_slice(dense.as_slice());
                 }
             }
-            SolverKind::Sparse | SolverKind::SparseOrdered => {
+            SolverKind::Sparse => {
                 let rebuilt = self.stage_csc(asm, alpha_g, alpha_c, gmin, n_node_unknowns);
                 if rebuilt {
                     self.stats.pattern_builds += 1;
@@ -402,7 +397,6 @@ impl JacobianWorkspace {
                 let unchanged = !rebuilt && self.cached.is_some() && self.snapshot == csc.values();
                 if !unchanged {
                     self.snapshot.clear();
-                    self.snapshot.extend_from_slice(csc.values());
                     self.stats.numeric_factorizations += 1;
                     let refactored = match self.cached.as_mut() {
                         Some(FactoredJacobian::Sparse(lu)) if !rebuilt => lu.refactor(csc).is_ok(),
@@ -410,19 +404,12 @@ impl JacobianWorkspace {
                     };
                     if !refactored {
                         // First factorization, pattern change, or stale
-                        // pivots: run the analyzing factorization and
-                        // refresh the symbolic record. The ordered backend
-                        // analyzes with the Markowitz fill-reducing order;
+                        // pivots: run the ordering analysis afresh;
                         // subsequent refactorizations replay it.
                         self.stats.symbolic_analyses += 1;
-                        let lu = if self.kind == SolverKind::SparseOrdered {
-                            csc.lu_markowitz()?
-                        } else {
-                            csc.lu()?
-                        };
-                        self.symbolic = Some(lu.symbolic());
-                        self.cached = Some(FactoredJacobian::Sparse(lu));
+                        self.cached = Some(FactoredJacobian::Sparse(csc.lu()?));
                     }
+                    self.snapshot.extend_from_slice(csc.values());
                 }
             }
         }
@@ -638,6 +625,50 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A failed factorization must not be served from the value-dedup
+    /// shortcut: repeating the same singular matrix fails again, and the
+    /// next healthy matrix is factored afresh.
+    #[test]
+    fn failed_factorization_is_not_reused() {
+        let ckt = rc();
+        let nn = ckt.n_nodes() - 1;
+        let asm = ckt.assemble(&[1.0, 0.3, -1e-4], 0.0);
+        let b = vec![0.25, -1.5, 3.0];
+        for kind in [SolverKind::Dense, SolverKind::Sparse] {
+            let mut ws = JacobianWorkspace::new(kind);
+            ws.factor(&asm, 1.0, 1e9, 1e-12, nn).unwrap();
+            for attempt in 0..2 {
+                let res = ws.factor(&asm, 0.0, 0.0, 0.0, nn);
+                assert!(
+                    matches!(res, Err(NumError::Singular { .. })),
+                    "{kind:?} attempt {attempt}: {res:?}"
+                );
+            }
+            let x = ws.factor(&asm, 1.0, 1e9, 1e-12, nn).unwrap().solve(&b);
+            let one_shot = FactoredJacobian::factor(kind, &asm, 1.0, 1e9, 1e-12, nn)
+                .unwrap()
+                .solve(&b);
+            for i in 0..b.len() {
+                assert!(x[i].to_bits() == one_shot[i].to_bits(), "{kind:?} row {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn auto_for_picks_dense_when_small_or_full() {
+        let n = SPARSE_CROSSOVER_N;
+        // Below the crossover: dense, however sparse.
+        assert_eq!(SolverKind::auto_for(n - 1, n - 1), SolverKind::Dense);
+        assert_eq!(SolverKind::auto_for(1, 1), SolverKind::Dense);
+        // At or above the crossover and at most 25% full: sparse.
+        assert_eq!(SolverKind::auto_for(n, 3 * n), SolverKind::Sparse);
+        assert_eq!(SolverKind::auto_for(n, n * n / 4), SolverKind::Sparse);
+        assert_eq!(SolverKind::auto_for(1000, 5000), SolverKind::Sparse);
+        // Above 25% density: dense again.
+        assert_eq!(SolverKind::auto_for(n, n * n / 4 + 1), SolverKind::Dense);
+        assert_eq!(SolverKind::auto_for(1000, 1000 * 1000), SolverKind::Dense);
     }
 
     #[test]

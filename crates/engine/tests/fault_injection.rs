@@ -9,9 +9,10 @@
 
 use std::time::Duration;
 use tranvar_circuit::{Circuit, MosModel, MosType, NodeId, Waveform};
-use tranvar_engine::dc::{dc_operating_point, dc_operating_point_traced, DcOptions};
+use tranvar_engine::dc::{dc_operating_point, dc_operating_point_traced, DcOptions, NewtonOptions};
 use tranvar_engine::fault::{sites, FaultAction, FaultPlan};
 use tranvar_engine::retry::{dc_operating_point_resilient, transient_resilient};
+use tranvar_engine::solver::JacobianWorkspace;
 use tranvar_engine::tran::transient;
 use tranvar_engine::{
     BudgetKind, BudgetLimits, EngineError, RetryPolicy, SolveBudget, SolveDiagnostics, TranOptions,
@@ -154,12 +155,14 @@ fn poisoned_dc_update_bails_on_first_iteration() {
     let guard = FaultPlan::new()
         .fail(sites::DC_RESIDUAL, 0, FaultAction::PoisonNan)
         .install();
-    let res = tranvar_engine::dc::solve_static(
+    let opts = NewtonOptions::default();
+    let res = tranvar_engine::dc::solve_static_with(
         &ckt,
         0.0,
         1e-12,
         &vec![0.0; ckt.n_unknowns()],
-        &Default::default(),
+        &opts,
+        &mut JacobianWorkspace::new(opts.solver),
     );
     assert!(matches!(res, Err(EngineError::NonFinite { .. })), "{res:?}");
     // Exactly one iteration ran: the guard fired once, not max_iter times.

@@ -2,20 +2,22 @@
 //!
 //! The JSON wire format refers to circuits by deck name and to
 //! nodes/devices by their labels; this module owns the name → [`Circuit`]
-//! mapping. Decks are deliberately small driven testbenches with annotated
+//! mapping. Named decks are embedded SPICE text (circuit and `.sigma` cards
+//! only — the JSON request supplies the analysis, metrics and scenarios)
+//! elaborated through [`tranvar::netlist`], the same frontend raw decks go
+//! through. They are deliberately small driven testbenches with annotated
 //! mismatch so every request exercises the paper's full PSS → LPTV →
 //! report pipeline.
 //!
 //! A `POST /analyze` body with `Content-Type: text/x-spice` bypasses the
-//! name lookup entirely: [`from_spice`] elaborates the body through
-//! [`tranvar::netlist`] into the same [`AnalyzeRequest`] the JSON path
-//! produces, so a raw deck and its equivalent JSON request render
-//! byte-identical responses. Spice requests are cached under a
+//! name lookup entirely: [`from_spice`] elaborates the body into the same
+//! [`AnalyzeRequest`] the JSON path produces, so a raw deck and its
+//! equivalent JSON request render the same per-scenario reports. Spice requests are cached under a
 //! content-addressed name ([`spice_name`]), so re-posting the same deck
 //! text hits the solve cache.
 
 use crate::wire::{AnalyzeRequest, WireError};
-use tranvar::circuit::{Circuit, NodeId, Waveform};
+use tranvar::circuit::Circuit;
 use tranvar::netlist::{self, Analysis};
 use tranvar::pss::PssOptions;
 use tranvar::TranvarError;
@@ -25,39 +27,33 @@ pub const DECKS: &[&str] = &["divider", "rc-lowpass"];
 
 /// Builds a named deck, or `None` for an unknown name.
 pub fn build(name: &str) -> Option<Circuit> {
-    match name {
-        "divider" => Some(divider()),
-        "rc-lowpass" => Some(rc_lowpass()),
-        _ => None,
-    }
+    let source = match name {
+        "divider" => DIVIDER,
+        "rc-lowpass" => RC_LOWPASS,
+        _ => return None,
+    };
+    // The embedded decks are fixed text; the unit tests pin that each one
+    // elaborates.
+    netlist::parse_and_elaborate(source).ok().map(|e| e.circuit)
 }
 
 /// A 2 V resistive divider with mismatch on both resistors: the workspace's
 /// canonical σ(vout) example (σ = |∂vout/∂R|·σ_R per resistor, RSS'd).
-fn divider() -> Circuit {
-    let mut ckt = Circuit::new();
-    let a = ckt.node("a");
-    let b = ckt.node("b");
-    ckt.add_vsource("V1", a, NodeId::GROUND, Waveform::Dc(2.0));
-    let r1 = ckt.add_resistor("R1", a, b, 1e3);
-    let r2 = ckt.add_resistor("R2", b, NodeId::GROUND, 1e3);
-    ckt.add_capacitor("C1", b, NodeId::GROUND, 1e-12);
-    ckt.annotate_resistor_mismatch(r1, 10.0);
-    ckt.annotate_resistor_mismatch(r2, 10.0);
-    ckt
-}
+const DIVIDER: &str = "divider\n\
+    V1 a 0 2.0\n\
+    R1 a b 1e3\n\
+    R2 b 0 1e3\n\
+    C1 b 0 1p\n\
+    .sigma r R* sigma=10.0\n\
+    .end\n";
 
 /// A 1 V RC low-pass with mismatch on the series resistor.
-fn rc_lowpass() -> Circuit {
-    let mut ckt = Circuit::new();
-    let a = ckt.node("in");
-    let b = ckt.node("out");
-    ckt.add_vsource("V1", a, NodeId::GROUND, Waveform::Dc(1.0));
-    let r1 = ckt.add_resistor("R1", a, b, 1e3);
-    ckt.add_capacitor("C1", b, NodeId::GROUND, 1e-9);
-    ckt.annotate_resistor_mismatch(r1, 5.0);
-    ckt
-}
+const RC_LOWPASS: &str = "rc-lowpass\n\
+    V1 in 0 1.0\n\
+    R1 in out 1e3\n\
+    C1 out 0 1n\n\
+    .sigma r R1 sigma=5.0\n\
+    .end\n";
 
 // ── Raw SPICE request bodies ──
 

@@ -159,6 +159,67 @@ fn raw_spice_decks_are_served_end_to_end() {
     server.join();
 }
 
+/// The named `divider` deck is embedded SPICE text run through the same
+/// netlist frontend as raw bodies: a JSON request naming it and the
+/// equivalent raw deck answer the same per-scenario reports, and the
+/// nominal σ(vout) is the analytic √2·5 mV (each 10 Ω resistor σ moves
+/// vout by 10 Ω · 2 V·1 kΩ/(2 kΩ)² = 5 mV).
+#[test]
+fn named_and_raw_divider_decks_report_identically() {
+    const JSON: &str = r#"{
+        "deck": "divider",
+        "period": 1e-6,
+        "n_steps": 16,
+        "metrics": [{"name": "vout", "kind": "dc-average", "node": "b"}],
+        "scenarios": [
+            {"name": "sigma=1.0", "overrides": [{"kind": "sigma-scale", "factor": 1.0}]},
+            {"name": "sigma=2.0", "overrides": [{"kind": "sigma-scale", "factor": 2.0}]}
+        ]
+    }"#;
+    let server = start(2, 8);
+    let addr = server.addr();
+    let named = post(addr, "/analyze", JSON);
+    let raw = post_spice(addr, "/analyze", SPICE);
+    assert_eq!(named.status, 200, "body: {}", named.body);
+    assert_eq!(raw.status, 200, "body: {}", raw.body);
+    server.shutdown();
+    server.join();
+
+    // Everything after the deck name — unique-solve count and every
+    // scenario's reports — matches byte for byte.
+    let after_deck = |body: &str| {
+        body.split_once(",\"n_unique_solves\"")
+            .unwrap()
+            .1
+            .to_string()
+    };
+    assert!(
+        named.body.starts_with("{\"deck\":\"divider\""),
+        "{}",
+        named.body
+    );
+    assert_eq!(after_deck(&named.body), after_deck(&raw.body));
+
+    let parsed = tranvar_serve::json::parse(&named.body).unwrap();
+    let scenarios = parsed.get("scenarios").and_then(|s| s.as_arr()).unwrap();
+    let sigma_of = |k: usize| {
+        let reports = scenarios[k]
+            .get("reports")
+            .and_then(|r| r.as_arr())
+            .unwrap();
+        reports[0].get("sigma").and_then(|s| s.as_f64()).unwrap()
+    };
+    let expect = 2f64.sqrt() * 5e-3;
+    for (k, scale) in [(0, 1.0), (1, 2.0)] {
+        let sigma = sigma_of(k);
+        assert!(
+            (sigma - scale * expect).abs() <= 1e-9 * expect,
+            "scenario {k}: sigma {sigma} vs {}",
+            scale * expect
+        );
+    }
+}
+
 #[test]
 fn malformed_spice_decks_get_spanned_422s() {
     let server = start(1, 8);

@@ -576,8 +576,8 @@ fn random_system(rng: &mut Rng64, n: usize, density: f64) -> tranvar::num::Csc<f
 }
 
 /// Lane-kernel dispatch is bit-for-bit identical to per-RHS `solve_into`
-/// across exact lane widths, remainder mixes, and all three factor backends
-/// (dense, natural-order sparse, Markowitz-ordered sparse).
+/// across exact lane widths, remainder mixes, and both factor backends
+/// (dense, Markowitz-ordered sparse).
 #[test]
 fn lane_solves_bitwise_match_solve_into() {
     let mut rng = Rng64::seed_from(0x1A5E5);
@@ -586,13 +586,11 @@ fn lane_solves_bitwise_match_solve_into() {
         let csc = random_system(&mut rng, n, 0.3);
         let dense_lu = csc.to_dense().lu().unwrap();
         let sparse_lu = csc.lu().unwrap();
-        let ordered_lu = csc.lu_markowitz().unwrap();
         for n_rhs in [1usize, 2, 3, 4, 5, 8, 17] {
             let block0: Vec<f64> = (0..n * n_rhs).map(|_| 2.0 * rng.uniform() - 1.0).collect();
             // Per-RHS references from the single-solve kernels.
             let mut dref = vec![0.0; n * n_rhs];
             let mut sref = vec![0.0; n * n_rhs];
-            let mut oref = vec![0.0; n * n_rhs];
             let mut b = vec![0.0; n];
             let mut out = vec![0.0; n];
             let mut scr = vec![0.0; n];
@@ -608,10 +606,6 @@ fn lane_solves_bitwise_match_solve_into() {
                 for r in 0..n {
                     sref[r * n_rhs + k] = out[r];
                 }
-                ordered_lu.solve_into(&b, &mut out, &mut scr);
-                for r in 0..n {
-                    oref[r * n_rhs + k] = out[r];
-                }
             }
             let mut scratch = vec![0.0; tranvar::num::lanes_scratch_len(n, n_rhs)];
             // Dense lanes.
@@ -623,7 +617,7 @@ fn lane_solves_bitwise_match_solve_into() {
                     "case {case} dense lanes vs solve_into n_rhs={n_rhs} idx {i}"
                 );
             }
-            // Sparse (natural order) lanes.
+            // Sparse (Markowitz-ordered) lanes.
             let mut blk = block0.clone();
             sparse_lu.solve_multi_lanes(&mut blk, n_rhs, &mut scratch);
             for i in 0..n * n_rhs {
@@ -632,24 +626,16 @@ fn lane_solves_bitwise_match_solve_into() {
                     "case {case} sparse lanes vs solve_into n_rhs={n_rhs} idx {i}"
                 );
             }
-            // Sparse (Markowitz-ordered) lanes.
-            let mut blk = block0.clone();
-            ordered_lu.solve_multi_lanes(&mut blk, n_rhs, &mut scratch);
-            for i in 0..n * n_rhs {
-                assert!(
-                    blk[i].to_bits() == oref[i].to_bits(),
-                    "case {case} ordered lanes vs solve_into n_rhs={n_rhs} idx {i}"
-                );
-            }
         }
     }
 }
 
-/// Markowitz-ordered factorization agrees with the natural-order one to
-/// machine precision on all four demo-circuit Jacobians, and its replayed
-/// refactorizations are bit-identical to the fresh ordered factorization.
+/// Markowitz-ordered sparse factorization agrees with the dense
+/// partial-pivoting `Lu` to machine precision on all four demo-circuit
+/// Jacobians, and its replayed refactorizations are bit-identical to the
+/// fresh ordered factorization.
 #[test]
-fn markowitz_matches_natural_on_demo_circuits() {
+fn markowitz_matches_dense_on_demo_circuits() {
     use tranvar::circuits::{ArrivalOrder, LogicPath, RStringDac, RingOsc, StrongArm, Tech};
     use tranvar::engine::solver::combine;
 
@@ -669,17 +655,17 @@ fn markowitz_matches_natural_on_demo_circuits() {
         let asm = ckt.assemble(&x, 0.0);
         let nn = ckt.n_nodes() - 1;
         let csc = combine(&asm, 1.0, 1e9, 1e-12, nn);
-        let natural = csc.lu().unwrap();
-        let ordered = csc.lu_markowitz().unwrap();
+        let dense = csc.to_dense().lu().unwrap();
+        let ordered = csc.lu().unwrap();
         let b: Vec<f64> = (0..n).map(|i| ((i as f64) * 0.73).sin() + 0.2).collect();
-        let xn = natural.solve(&b);
+        let xd = dense.solve(&b);
         let xo = ordered.solve(&b);
-        let scale = xn.iter().fold(1.0f64, |m, v| m.max(v.abs()));
+        let scale = xd.iter().fold(1.0f64, |m, v| m.max(v.abs()));
         for i in 0..n {
             assert!(
-                (xn[i] - xo[i]).abs() <= 1e-9 * scale,
-                "{name} row {i}: natural {} vs ordered {}",
-                xn[i],
+                (xd[i] - xo[i]).abs() <= 1e-9 * scale,
+                "{name} row {i}: dense {} vs ordered {}",
+                xd[i],
                 xo[i]
             );
         }

@@ -4,11 +4,14 @@
 //!
 //! # Step control
 //!
-//! [`TranOptions::step_control`] selects between two modes:
+//! Plain transients, the sensitivity windows of [`crate::transens`] and
+//! PSS cycles all walk one stepping loop, on one of two grids selected by
+//! [`TranOptions::step_control`] (for cycles, by the entry point):
 //!
 //! * [`StepControl::Fixed`] (the default) integrates on the uniform grid
-//!   `t_k = t_start + k·dt`. This is the bit-identical reference path: its
-//!   arithmetic is untouched by the adaptive machinery.
+//!   `t_k = t_start + k·dt`; a cycle uses `t_k = t0 + period·k/n` and takes
+//!   its first step with backward Euler. Each `t_k` is computed from `k`,
+//!   never accumulated, so the grid carries no rounding drift.
 //! * [`StepControl::Adaptive`] estimates the local truncation error (LTE)
 //!   of every step with a predictor/corrector device (Milne's device on the
 //!   non-uniform history) and accepts, shrinks or grows the step to hold
@@ -55,9 +58,9 @@
 //!   each other or to the run endpoints are merged.
 //!
 //! Besides the ordinary [`transient`] entry point (used by Monte-Carlo
-//! re-simulation), the module exposes [`integrate_cycle`], which integrates
-//! exactly one period and optionally records, per accepted step, the factored
-//! Jacobian `J_k` and the coupling matrix `B_k` with `∂x_k/∂x_{k−1} =
+//! re-simulation), the module exposes [`integrate_cycle_with`], which
+//! integrates exactly one period and optionally records, per accepted step,
+//! the factored Jacobian `J_k` and the coupling matrix `B_k` with `∂x_k/∂x_{k−1} =
 //! J_k⁻¹·B_k`. Those records are the raw material of both the shooting-Newton
 //! monodromy matrix and the LPTV periodic solver — their reuse across all
 //! noise sources is where the paper's 100–1000× speedup over Monte-Carlo
@@ -276,16 +279,13 @@ impl TranResult {
 /// Shared validation for every transient-style run (plain, sensitivity,
 /// session): one copy of the config check and its error message.
 ///
-/// Fixed mode additionally requires the rounded step count
-/// `((t_stop − t_start)/dt).round()` to be at least 1: a `dt` larger than
-/// twice the span used to *silently* produce a zero-step run (initial state
-/// only), which is never what the caller meant.
+/// Non-finite times are rejected ([`check_span`]). Fixed mode additionally
+/// requires the rounded step count `((t_stop − t_start)/dt).round()` to be
+/// at least 1: a `dt` larger than twice the span used to *silently* produce
+/// a zero-step run (initial state only), which is never what the caller
+/// meant.
 pub(crate) fn validate_step_config(opts: &TranOptions) -> Result<(), EngineError> {
-    if opts.dt <= 0.0 || opts.t_stop <= opts.t_start {
-        return Err(EngineError::BadConfig(
-            "transient needs dt > 0 and t_stop > t_start".into(),
-        ));
-    }
+    check_span("transient", opts.t_start, opts.t_stop, opts.dt)?;
     match &opts.step_control {
         StepControl::Fixed => {
             if ((opts.t_stop - opts.t_start) / opts.dt).round() < 1.0 {
@@ -311,7 +311,7 @@ pub struct StepRecord {
     /// Step size.
     pub h: f64,
     /// Implicitness weight θ actually used for this step (the first step of a
-    /// cycle is always backward Euler; see [`integrate_cycle`]).
+    /// cycle is always backward Euler; see [`integrate_cycle_with`]).
     pub theta: f64,
     /// Factored step Jacobian `J = C₁/h + θ·G₁`.
     pub lu: FactoredJacobian,
@@ -340,11 +340,11 @@ pub struct CycleResult {
 /// double-buffer, the Newton vectors, the factorization workspace and the
 /// coupling-matrix stage. One instance lives for a whole run, so the inner
 /// loop performs no repeated allocation.
-pub(crate) struct StepState {
-    pub(crate) jws: JacobianWorkspace,
+struct StepState {
+    jws: JacobianWorkspace,
     bstage: CombineStage,
     /// Assembly at the previous accepted state `(x0, t0)`.
-    pub(crate) asm_prev: tranvar_circuit::Assembly,
+    asm_prev: tranvar_circuit::Assembly,
     /// Assembly buffer for the current step (swapped with `asm_prev`).
     asm_cur: tranvar_circuit::Assembly,
     r: Vec<f64>,
@@ -353,27 +353,11 @@ pub(crate) struct StepState {
 }
 
 impl StepState {
-    /// Initializes the step state at `(x0, t0)`.
-    pub(crate) fn new(ckt: &Circuit, kind: crate::solver::SolverKind, x0: &[f64], t0: f64) -> Self {
-        let n = ckt.n_unknowns();
-        let asm_prev = ckt.assemble(x0, t0);
-        let asm_cur = ckt.assemble(x0, t0);
-        StepState {
-            jws: JacobianWorkspace::new(kind),
-            bstage: CombineStage::new(),
-            asm_prev,
-            asm_cur,
-            r: vec![0.0; n],
-            delta: vec![0.0; n],
-            scratch: vec![0.0; n],
-        }
-    }
-
     /// Re-anchors the state at a new `(x0, t0)` without releasing any
     /// buffer: only the previous-accepted assembly is re-evaluated (the
     /// current-step assembly is overwritten by the first Newton iteration,
     /// and the factorization/staging workspaces carry over unchanged).
-    pub(crate) fn reset(&mut self, ckt: &Circuit, x0: &[f64], t0: f64) {
+    fn reset(&mut self, ckt: &Circuit, x0: &[f64], t0: f64) {
         ckt.assemble_into(x0, t0, &mut self.asm_prev);
     }
 }
@@ -409,10 +393,10 @@ impl CycleWorkspace {
             .map(|st| self.retired.merged(st.jws.stats()))
     }
 
-    /// Returns the step state re-anchored at `(x0, t0)`, reusing every
+    /// Returns the step state anchored at `(x0, t0)`, reusing every
     /// retained buffer when the backend and system size still match, and
-    /// rebuilding from scratch otherwise.
-    pub(crate) fn state_for(
+    /// building it from scratch otherwise.
+    fn state_for(
         &mut self,
         ckt: &Circuit,
         kind: crate::solver::SolverKind,
@@ -428,7 +412,16 @@ impl CycleWorkspace {
                 if let Some(old) = old {
                     self.retired = self.retired.merged(old.jws.stats());
                 }
-                StepState::new(ckt, kind, x0, t0)
+                let n = ckt.n_unknowns();
+                StepState {
+                    jws: JacobianWorkspace::new(kind),
+                    bstage: CombineStage::new(),
+                    asm_prev: ckt.assemble(x0, t0),
+                    asm_cur: ckt.assemble(x0, t0),
+                    r: vec![0.0; n],
+                    delta: vec![0.0; n],
+                    scratch: vec![0.0; n],
+                }
             }
         };
         self.st.insert(st)
@@ -453,7 +446,7 @@ impl std::fmt::Debug for CycleWorkspace {
 /// the step record is returned; the accepted assembly is left in
 /// `st.asm_prev` for the next step.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn step(
+fn step(
     ckt: &Circuit,
     st: &mut StepState,
     x: &mut [f64],
@@ -565,12 +558,14 @@ pub(crate) fn step(
     Ok(record)
 }
 
-/// One accepted adaptive step, as reported by [`AdaptiveDriver::advance`].
-pub(crate) struct AdaptiveStep {
-    /// End time of the accepted step.
+/// One accepted step, as reported by [`Stepper::advance`].
+pub(crate) struct Accepted {
+    /// End time of the step.
     pub(crate) t1: f64,
-    /// Implicitness weight actually used (BE during startup and on
-    /// post-rejection retries, the configured method otherwise).
+    /// Step size.
+    pub(crate) h: f64,
+    /// Implicitness weight actually used (BE on a cycle's first step, in the
+    /// LTE startup and on retries; the configured method otherwise).
     pub(crate) theta: f64,
     /// Step record, when requested.
     pub(crate) record: Option<StepRecord>,
@@ -586,29 +581,85 @@ fn shrink_can_help(e: &EngineError) -> bool {
     )
 }
 
-/// The LTE-controlled stepping loop shared by [`transient_with`], the
-/// adaptive sensitivity propagation ([`crate::transens`]) and
-/// [`integrate_cycle_adaptive_with`]: owns the integration state (`x`,
-/// `f_aug`, `q`), the accepted-state snapshots used to roll back rejected
-/// steps, and the predictor history. All users drive the *same* loop, so
-/// the nominal trajectory is bitwise identical across entry points.
-pub(crate) struct AdaptiveDriver {
+/// The one time check behind every grid: a run from `t0` to `t1` with
+/// (first) step `dt` needs a finite start and a finite positive span and
+/// step. NaN slips through plain `<=` tests, and would then run zero steps
+/// on a uniform grid or panic in the LTE controller's clamp.
+fn check_span(analysis: &str, t0: f64, t1: f64, dt: f64) -> Result<(), EngineError> {
+    let span = t1 - t0;
+    if t0.is_finite() && span.is_finite() && span > 0.0 && dt.is_finite() && dt > 0.0 {
+        return Ok(());
+    }
+    Err(EngineError::BadConfig(format!(
+        "{analysis} needs a finite start and a finite positive span and step \
+         (got start {t0:.3e}, end {t1:.3e}, step {dt:.3e})"
+    )))
+}
+
+/// The time grid a [`Stepper`] walks.
+enum Grid {
+    /// `t_k = t0 + (w·k)/d` for `k = 1..=n`, every step `h = w/d`, computed
+    /// on the fly from the step count `k` taken so far. Transients pass
+    /// `w = dt, d = 1` (dividing by one is exact, so the grid is
+    /// `t_start + k·dt` bit for bit); cycles pass `w = period, d = n` and set
+    /// `be_first`.
+    Uniform {
+        t0: f64,
+        w: f64,
+        d: f64,
+        n: usize,
+        k: usize,
+        be_first: bool,
+    },
+    /// The LTE controller (see the [module docs](self)).
+    Lte(Box<Lte>),
+}
+
+impl Grid {
+    /// The LTE-controlled grid from `t0` to `t_stop`, starting at step `dt`,
+    /// for a state of `n` unknowns.
+    fn lte(ckt: &Circuit, t0: f64, t_stop: f64, dt: f64, a: &AdaptiveOptions, n: usize) -> Grid {
+        let (h_min, h_max) = a.resolve_bounds(t_stop - t0);
+        // Merge corners closer than 2·h_min to each other (or to the run
+        // endpoints): landing on both would force sub-h_min steps.
+        let mut breakpoints = Vec::new();
+        for bp in ckt.source_breakpoints(t0, t_stop) {
+            let prev = *breakpoints.last().unwrap_or(&t0);
+            if bp - prev >= 2.0 * h_min && t_stop - bp >= 2.0 * h_min {
+                breakpoints.push(bp);
+            }
+        }
+        Grid::Lte(Box::new(Lte {
+            t_stop,
+            a: *a,
+            h_min,
+            h_max,
+            x_acc: vec![0.0; n],
+            f_acc: vec![0.0; n],
+            q_acc: vec![0.0; n],
+            x_pred: vec![0.0; n],
+            h1: 0.0,
+            h2: 0.0,
+            x_prev1: vec![0.0; n],
+            x_prev2: vec![0.0; n],
+            n_accepted: 0,
+            h_next: dt.min(h_max).max(h_min),
+            retry_be: false,
+            breakpoints,
+            next_bp: 0,
+        }))
+    }
+}
+
+/// The LTE controller's state: its tolerances, the accepted-state snapshots
+/// that roll back rejected steps, the predictor history and the source
+/// breakpoints still ahead.
+struct Lte {
     t_stop: f64,
-    method: Integrator,
-    reltol: f64,
-    abstol: f64,
+    a: AdaptiveOptions,
+    /// Resolved step bounds ([`AdaptiveOptions::resolve_bounds`]).
     h_min: f64,
     h_max: f64,
-    max_growth: f64,
-    min_shrink: f64,
-    safety: f64,
-    /// Last accepted time.
-    t: f64,
-    /// Working state vector; equals the accepted state between
-    /// [`AdaptiveDriver::advance`] calls.
-    pub(crate) x: Vec<f64>,
-    f_aug: Vec<f64>,
-    q: Vec<f64>,
     // Accepted-state snapshots: `step()` commits f_aug/q and swaps the
     // assembly double-buffer before the LTE verdict exists, so a rejection
     // restores from these and re-anchors the assembly with `StepState::reset`.
@@ -637,77 +688,115 @@ pub(crate) struct AdaptiveDriver {
     next_bp: usize,
 }
 
-impl AdaptiveDriver {
-    /// Builds a driver anchored at `(x0, t_start)`; `st` must already be
-    /// anchored there (it supplies the initial `f_aug`/`q`).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn new(
-        ckt: &Circuit,
-        st: &StepState,
-        x0: Vec<f64>,
-        t_start: f64,
-        t_stop: f64,
-        dt: f64,
+impl Lte {
+    /// Proposes the next step from the accepted time `t` as
+    /// `(t1, h, method, at_h_min)`, or `None` once `t_stop` is reached.
+    fn propose(&mut self, t: f64, method: Integrator) -> Option<(f64, f64, Integrator, bool)> {
+        if t >= self.t_stop {
+            return None;
+        }
+        while self.next_bp < self.breakpoints.len() && self.breakpoints[self.next_bp] <= t {
+            self.next_bp += 1;
+        }
+        let h_prop = self.h_next.clamp(self.h_min, self.h_max);
+        // The local stop is the next source breakpoint (or t_stop): steps
+        // land on waveform corners exactly, never straddle them.
+        let stop = self
+            .breakpoints
+            .get(self.next_bp)
+            .copied()
+            .unwrap_or(self.t_stop);
+        // Stretch to the stop: a step that would leave a sliver shorter than
+        // 5 % of itself lands exactly on it instead.
+        let t1 = if t + 1.05 * h_prop >= stop {
+            stop
+        } else {
+            t + h_prop
+        };
+        // Derive h from the time difference so the step size and the sample
+        // grid are bitwise consistent (downstream consumers reconstruct h as
+        // times[k] − times[k−1]).
+        let h = t1 - t;
+        // "Cannot shrink further" is judged on the *proposal*: the realized
+        // h carries the rounding of (t + h_prop) − t, which can exceed any
+        // fixed relative margin when h_prop ≪ t.
+        let at_h_min = h_prop <= self.h_min * (1.0 + 1e-12);
+        let method = if self.n_accepted < 2 || self.retry_be {
+            Integrator::BackwardEuler
+        } else {
+            method
+        };
+        Some((t1, h, method, at_h_min))
+    }
+
+    /// LTE verdict on the converged step `x_acc → x` of size `h`: whether to
+    /// accept it, and the growth factor for the next step. The first
+    /// accepted step has no predictor history and is always accepted at the
+    /// initial dt; the controller engages from the second step on.
+    fn verdict(
+        &mut self,
+        x: &[f64],
+        h: f64,
         method: Integrator,
-        gmin: f64,
-        a: &AdaptiveOptions,
-        n_node: usize,
-    ) -> Self {
-        let (h_min, h_max) = a.resolve_bounds(t_stop - t_start);
-        // Merge corners closer than 2·h_min to each other (or to the run
-        // endpoints): landing on both would force sub-h_min steps.
-        let mut breakpoints = Vec::new();
-        for bp in ckt.source_breakpoints(t_start, t_stop) {
-            let prev = *breakpoints.last().unwrap_or(&t_start);
-            if bp - prev >= 2.0 * h_min && t_stop - bp >= 2.0 * h_min {
-                breakpoints.push(bp);
+        at_h_min: bool,
+        t1: f64,
+    ) -> Result<(bool, f64), EngineError> {
+        if self.n_accepted == 0 {
+            return Ok((true, self.a.max_growth));
+        }
+        let n = x.len();
+        let second_order = method == Integrator::Trapezoidal && self.n_accepted >= 2;
+        if second_order {
+            // Quadratic predictor through (t−h1−h2, t−h1, t) by Newton
+            // divided differences, extrapolated to t+h.
+            let d2 = 1.0 / self.h1;
+            let d1 = 1.0 / self.h2;
+            let dd = 1.0 / (self.h1 + self.h2);
+            for i in 0..n {
+                let s2 = (self.x_acc[i] - self.x_prev1[i]) * d2;
+                let s1 = (self.x_prev1[i] - self.x_prev2[i]) * d1;
+                let curv = (s2 - s1) * dd;
+                self.x_pred[i] = self.x_acc[i] + h * (s2 + curv * (h + self.h1));
+            }
+        } else {
+            // Linear predictor through (t−h1, t).
+            let slope = h / self.h1;
+            for i in 0..n {
+                self.x_pred[i] = self.x_acc[i] + slope * (self.x_acc[i] - self.x_prev1[i]);
             }
         }
-        let mut f_aug = st.asm_prev.f.clone();
-        for (i, fi) in f_aug.iter_mut().enumerate().take(n_node) {
-            *fi += gmin * x0[i];
-        }
-        let q = st.asm_prev.q.clone();
-        let n = x0.len();
-        AdaptiveDriver {
-            t_stop,
-            method,
-            reltol: a.reltol,
-            abstol: a.abstol,
-            h_min,
-            h_max,
-            max_growth: a.max_growth,
-            min_shrink: a.min_shrink,
-            safety: a.safety,
-            t: t_start,
-            x_acc: x0.clone(),
-            f_acc: f_aug.clone(),
-            q_acc: q.clone(),
-            x_pred: vec![0.0; n],
-            x: x0,
-            f_aug,
-            q,
-            h1: 0.0,
-            h2: 0.0,
-            x_prev1: vec![0.0; n],
-            x_prev2: vec![0.0; n],
-            n_accepted: 0,
-            h_next: dt.min(h_max).max(h_min),
-            retry_be: false,
-            breakpoints,
-            next_bp: 0,
+        let coeff = if second_order {
+            let b = h * h * h / 12.0;
+            let a = h * (h + self.h1) * (h + self.h1 + self.h2) / 6.0;
+            b / (a + b)
+        } else {
+            h / (2.0 * h + self.h1)
+        };
+        let err = self.lte_norm(x, coeff);
+        if err.is_finite() {
+            let order = if second_order { 2.0 } else { 1.0 };
+            let growth = (self.a.safety * err.powf(-1.0 / (order + 1.0)))
+                .clamp(self.a.min_shrink, self.a.max_growth);
+            Ok((err <= 1.0 || at_h_min, growth))
+        } else if at_h_min {
+            Err(EngineError::NonFinite {
+                analysis: "transient step control".into(),
+                detail: format!("LTE estimate non-finite at t={t1:.3e} with h={h:.3e} = h_min"),
+            })
+        } else {
+            Ok((false, self.a.min_shrink))
         }
     }
 
     /// Weighted-RMS LTE norm of the corrector−predictor gap: `coeff` is the
     /// method's error constant, the weight is
     /// `abstol + reltol·max(|x₁ᵢ|, |x₀ᵢ|)`. Accept iff finite and ≤ 1.
-    fn lte_norm(&self, coeff: f64) -> f64 {
-        let n = self.x.len();
+    fn lte_norm(&self, x: &[f64], coeff: f64) -> f64 {
+        let n = x.len();
         let mut sum = 0.0;
         for i in 0..n {
-            let d = self.x[i] - self.x_pred[i];
-            let w = self.abstol + self.reltol * self.x[i].abs().max(self.x_acc[i].abs());
+            let d = x[i] - self.x_pred[i];
+            let w = self.a.abstol + self.a.reltol * x[i].abs().max(self.x_acc[i].abs());
             let e = d / w;
             sum += e * e;
         }
@@ -717,172 +806,249 @@ impl AdaptiveDriver {
         }
         err
     }
+}
 
-    /// Attempts steps (shrinking on Newton failure or LTE rejection) until
-    /// one is accepted, and returns it; `Ok(None)` once `t_stop` is reached.
-    ///
-    /// Termination: every rejection multiplies the step by at most
-    /// `max(min_shrink, ½)` down to `h_min`, where a finite over-tolerance
-    /// step is accepted and a non-finite one errors out — and each
-    /// rejection charges one budget iteration, so a budgeted run trips
-    /// [`EngineError::BudgetExceeded`] long before `h_min` on a genuine
-    /// rejection storm.
-    pub(crate) fn advance(
-        &mut self,
-        ckt: &Circuit,
-        st: &mut StepState,
-        newton: &NewtonOptions,
+/// The one stepping loop: plain transients, the sensitivity windows of
+/// [`crate::transens`] and PSS cycles all walk a `Stepper`. It owns the
+/// integration state (`x`, `f_aug`, `q`) and walks a [`Grid`], uniform or
+/// LTE-controlled, calling [`step`] once per attempt, so the nominal
+/// trajectory is bitwise identical across entry points.
+pub(crate) struct Stepper<'a> {
+    ckt: &'a Circuit,
+    st: &'a mut StepState,
+    newton: &'a NewtonOptions,
+    method: Integrator,
+    gmin: f64,
+    /// Last accepted time.
+    t: f64,
+    /// Working state vector; equals the accepted state between
+    /// [`Stepper::advance`] calls.
+    pub(crate) x: Vec<f64>,
+    f_aug: Vec<f64>,
+    q: Vec<f64>,
+    grid: Grid,
+}
+
+impl<'a> Stepper<'a> {
+    /// Anchors a stepper at `(x0, t0)` on `grid`, reusing `ws`'s buffers.
+    fn new(
+        ckt: &'a Circuit,
+        ws: &'a mut CycleWorkspace,
+        newton: &'a NewtonOptions,
+        x0: Vec<f64>,
+        t0: f64,
+        method: Integrator,
         gmin: f64,
-        want_record: bool,
-    ) -> Result<Option<AdaptiveStep>, EngineError> {
-        if self.t >= self.t_stop {
-            return Ok(None);
+        mut grid: Grid,
+    ) -> Self {
+        let st = ws.state_for(ckt, newton.solver, &x0, t0);
+        let mut f_aug = st.asm_prev.f.clone();
+        for (i, fi) in f_aug.iter_mut().enumerate().take(ckt.n_nodes() - 1) {
+            *fi += gmin * x0[i];
         }
-        while self.next_bp < self.breakpoints.len() && self.breakpoints[self.next_bp] <= self.t {
-            self.next_bp += 1;
+        let q = st.asm_prev.q.clone();
+        if let Grid::Lte(c) = &mut grid {
+            c.x_acc.clone_from(&x0);
+            c.f_acc.clone_from(&f_aug);
+            c.q_acc.clone_from(&q);
         }
+        Stepper {
+            ckt,
+            st,
+            newton,
+            method,
+            gmin,
+            t: t0,
+            x: x0,
+            f_aug,
+            q,
+            grid,
+        }
+    }
+
+    /// A stepper for a transient run from `x0` under `opts`, which the
+    /// caller has validated ([`validate_step_config`]).
+    pub(crate) fn for_tran(
+        ckt: &'a Circuit,
+        ws: &'a mut CycleWorkspace,
+        opts: &'a TranOptions,
+        x0: Vec<f64>,
+    ) -> Self {
+        let (t0, method, gmin) = (opts.t_start, opts.method, opts.gmin);
+        let grid = match &opts.step_control {
+            StepControl::Fixed => Grid::Uniform {
+                t0,
+                w: opts.dt,
+                d: 1.0,
+                n: ((opts.t_stop - t0) / opts.dt).round() as usize,
+                k: 0,
+                be_first: false,
+            },
+            StepControl::Adaptive(a) => Grid::lte(ckt, t0, opts.t_stop, opts.dt, a, x0.len()),
+        };
+        Stepper::new(ckt, ws, &opts.newton, x0, t0, method, gmin, grid)
+    }
+
+    /// The number of steps left when the grid knows it in advance (a
+    /// uniform grid); zero on an LTE grid.
+    pub(crate) fn steps_hint(&self) -> usize {
+        match &self.grid {
+            Grid::Uniform { n, k, .. } => n - k,
+            Grid::Lte(_) => 0,
+        }
+    }
+
+    /// Attempts steps until one is accepted and returns it; `Ok(None)` at
+    /// the end of the grid.
+    ///
+    /// A uniform grid accepts every converged step and fails on the first
+    /// step that does not converge. The LTE grid shrinks and retries on a
+    /// Newton failure or an LTE rejection. It terminates: every rejection
+    /// multiplies the step by at most `max(min_shrink, ½)` down to `h_min`,
+    /// where a finite over-tolerance step is accepted and a non-finite one
+    /// errors out — and each rejection charges one budget iteration, so a
+    /// budgeted run trips [`EngineError::BudgetExceeded`] long before
+    /// `h_min` on a genuine rejection storm.
+    pub(crate) fn advance(&mut self, want_record: bool) -> Result<Option<Accepted>, EngineError> {
         loop {
-            let h_prop = self.h_next.clamp(self.h_min, self.h_max);
-            // The local stop is the next source breakpoint (or t_stop):
-            // steps land on waveform corners exactly, never straddle them.
-            let stop = self
-                .breakpoints
-                .get(self.next_bp)
-                .copied()
-                .unwrap_or(self.t_stop);
-            // Stretch to the stop: a step that would leave a sliver shorter
-            // than 5 % of itself lands exactly on it instead.
-            let t1 = if self.t + 1.05 * h_prop >= stop {
-                stop
-            } else {
-                self.t + h_prop
-            };
-            // Derive h from the time difference so the step size and the
-            // sample grid are bitwise consistent (downstream consumers
-            // reconstruct h as times[k] − times[k−1]).
-            let h = t1 - self.t;
-            // "Cannot shrink further" is judged on the *proposal*: the
-            // realized h carries the rounding of (t + h_prop) − t, which
-            // can exceed any fixed relative margin when h_prop ≪ t.
-            let at_h_min = h_prop <= self.h_min * (1.0 + 1e-12);
-            let startup = self.n_accepted < 2;
-            let step_method = if startup || self.retry_be {
-                Integrator::BackwardEuler
-            } else {
-                self.method
+            let (t1, h, method, at_h_min) = match self.grid {
+                Grid::Uniform {
+                    t0,
+                    w,
+                    d,
+                    n,
+                    k,
+                    be_first,
+                } => {
+                    if k == n {
+                        return Ok(None);
+                    }
+                    // The first step of every cycle uses backward Euler: the
+                    // trapezoidal rule carries algebraic (non-dynamic)
+                    // perturbations with eigenvalue −1, which would make the
+                    // cycle monodromy have unit eigenvalues on V-source
+                    // branch rows and render the shooting system singular.
+                    // One L-stable step annihilates those modes at O(h²)
+                    // cost to the orbit.
+                    let method = if k == 0 && be_first {
+                        Integrator::BackwardEuler
+                    } else {
+                        self.method
+                    };
+                    (t0 + w * (k + 1) as f64 / d, w / d, method, false)
+                }
+                Grid::Lte(ref mut c) => match c.propose(self.t, self.method) {
+                    Some(proposal) => proposal,
+                    None => return Ok(None),
+                },
             };
             let attempt = step(
-                ckt,
-                st,
+                self.ckt,
+                self.st,
                 &mut self.x,
                 &mut self.f_aug,
                 &mut self.q,
                 self.t,
                 t1,
                 h,
-                step_method,
-                newton,
-                gmin,
+                method,
+                self.newton,
+                self.gmin,
                 want_record,
             );
-            let record = match attempt {
-                Ok(record) => record,
-                Err(e) if shrink_can_help(&e) && !at_h_min => {
-                    // Newton failed: x may be half-updated, but nothing was
-                    // committed (f_aug/q and the assembly double-buffer are
-                    // only touched on success), so restoring x suffices.
-                    newton.budget.begin_iteration("transient step control")?;
-                    self.x.copy_from_slice(&self.x_acc);
-                    self.h_next = (h * self.min_shrink).max(self.h_min);
-                    self.retry_be = true;
-                    continue;
+            let record = match &mut self.grid {
+                Grid::Uniform { k, .. } => {
+                    let record = attempt?;
+                    *k += 1;
+                    record
                 }
-                Err(e) => return Err(e),
-            };
-            // LTE verdict. The first accepted step has no predictor history
-            // and is always accepted at the initial dt; the controller
-            // engages from the second step on.
-            let mut growth = self.max_growth;
-            let accept = if self.n_accepted == 0 {
-                true
-            } else {
-                let n = self.x.len();
-                let second_order = step_method == Integrator::Trapezoidal && self.n_accepted >= 2;
-                if second_order {
-                    // Quadratic predictor through (t−h1−h2, t−h1, t) by
-                    // Newton divided differences, extrapolated to t+h.
-                    let d2 = 1.0 / self.h1;
-                    let d1 = 1.0 / self.h2;
-                    let dd = 1.0 / (self.h1 + self.h2);
-                    for i in 0..n {
-                        let s2 = (self.x_acc[i] - self.x_prev1[i]) * d2;
-                        let s1 = (self.x_prev1[i] - self.x_prev2[i]) * d1;
-                        let curv = (s2 - s1) * dd;
-                        self.x_pred[i] = self.x_acc[i] + h * (s2 + curv * (h + self.h1));
+                Grid::Lte(c) => {
+                    let budget = &self.newton.budget;
+                    let record = match attempt {
+                        Ok(record) => record,
+                        Err(e) if shrink_can_help(&e) && !at_h_min => {
+                            // Newton failed: x may be half-updated, but
+                            // nothing was committed (f_aug/q and the assembly
+                            // double-buffer are only touched on success), so
+                            // restoring x suffices.
+                            budget.begin_iteration("transient step control")?;
+                            self.x.copy_from_slice(&c.x_acc);
+                            c.h_next = (h * c.a.min_shrink).max(c.h_min);
+                            c.retry_be = true;
+                            continue;
+                        }
+                        Err(e) => return Err(e),
+                    };
+                    let (accept, growth) = c.verdict(&self.x, h, method, at_h_min, t1)?;
+                    if !accept {
+                        // Rejected on LTE: the step already committed (f_aug/q
+                        // were overwritten and the assembly double-buffer
+                        // swapped), so roll everything back to the accepted
+                        // state, charge the budget, and retry smaller with
+                        // backward Euler.
+                        budget.begin_iteration("transient step control")?;
+                        self.x.copy_from_slice(&c.x_acc);
+                        self.f_aug.copy_from_slice(&c.f_acc);
+                        self.q.copy_from_slice(&c.q_acc);
+                        self.st.reset(self.ckt, &c.x_acc, self.t);
+                        c.h_next = (h * growth.min(0.5)).max(c.h_min);
+                        c.retry_be = true;
+                        continue;
                     }
-                } else {
-                    // Linear predictor through (t−h1, t).
-                    let slope = h / self.h1;
-                    for i in 0..n {
-                        self.x_pred[i] = self.x_acc[i] + slope * (self.x_acc[i] - self.x_prev1[i]);
-                    }
-                }
-                let coeff = if second_order {
-                    let b = h * h * h / 12.0;
-                    let a = h * (h + self.h1) * (h + self.h1 + self.h2) / 6.0;
-                    b / (a + b)
-                } else {
-                    h / (2.0 * h + self.h1)
-                };
-                let err = self.lte_norm(coeff);
-                if err.is_finite() {
-                    let order = if second_order { 2.0 } else { 1.0 };
-                    growth = (self.safety * err.powf(-1.0 / (order + 1.0)))
-                        .clamp(self.min_shrink, self.max_growth);
-                    err <= 1.0 || at_h_min
-                } else if at_h_min {
-                    return Err(EngineError::NonFinite {
-                        analysis: "transient step control".into(),
-                        detail: format!(
-                            "LTE estimate non-finite at t={t1:.3e} with h={h:.3e} = h_min"
-                        ),
-                    });
-                } else {
-                    growth = self.min_shrink;
-                    false
+                    c.h2 = c.h1;
+                    c.h1 = h;
+                    std::mem::swap(&mut c.x_prev2, &mut c.x_prev1);
+                    c.x_prev1.copy_from_slice(&c.x_acc);
+                    c.x_acc.copy_from_slice(&self.x);
+                    c.f_acc.copy_from_slice(&self.f_aug);
+                    c.q_acc.copy_from_slice(&self.q);
+                    c.n_accepted += 1;
+                    c.retry_be = false;
+                    c.h_next = (h * growth).clamp(c.h_min, c.h_max);
+                    record
                 }
             };
-            if accept {
-                self.h2 = self.h1;
-                self.h1 = h;
-                std::mem::swap(&mut self.x_prev2, &mut self.x_prev1);
-                self.x_prev1.copy_from_slice(&self.x_acc);
-                self.x_acc.copy_from_slice(&self.x);
-                self.f_acc.copy_from_slice(&self.f_aug);
-                self.q_acc.copy_from_slice(&self.q);
-                self.t = t1;
-                self.n_accepted += 1;
-                self.retry_be = false;
-                self.h_next = (h * growth).clamp(self.h_min, self.h_max);
-                return Ok(Some(AdaptiveStep {
-                    t1,
-                    theta: step_method.theta(),
-                    record,
-                }));
-            }
-            // Rejected on LTE: the step already committed (f_aug/q were
-            // overwritten and the assembly double-buffer swapped), so roll
-            // everything back to the accepted state, charge the budget, and
-            // retry smaller with backward Euler.
-            newton.budget.begin_iteration("transient step control")?;
-            self.x.copy_from_slice(&self.x_acc);
-            self.f_aug.copy_from_slice(&self.f_acc);
-            self.q.copy_from_slice(&self.q_acc);
-            st.reset(ckt, &self.x_acc, self.t);
-            self.h_next = (h * growth.min(0.5)).max(self.h_min);
-            self.retry_be = true;
+            self.t = t1;
+            return Ok(Some(Accepted {
+                t1,
+                h,
+                theta: method.theta(),
+                record,
+            }));
         }
     }
+}
+
+/// The collect loop behind every transient-style entry point: walks
+/// `stepper` to the end of its grid, keeping every accepted state, the step
+/// records when `record` is set, and each step's `(h, θ)` when `steps` is
+/// given.
+fn collect(
+    mut stepper: Stepper,
+    record: bool,
+    mut steps: Option<&mut Vec<(f64, f64)>>,
+) -> Result<CycleResult, EngineError> {
+    // Exact capacities on a uniform grid: PSS keeps (and serving caches)
+    // the cycle it converged on, so slack would stay resident.
+    let hint = stepper.steps_hint();
+    let mut times = Vec::with_capacity(hint + 1);
+    let mut states = Vec::with_capacity(hint + 1);
+    let mut records = Vec::with_capacity(if record { hint } else { 0 });
+    times.push(stepper.t);
+    states.push(stepper.x.clone());
+    while let Some(a) = stepper.advance(record)? {
+        times.push(a.t1);
+        states.push(stepper.x.clone());
+        records.extend(a.record);
+        if let Some(steps) = steps.as_deref_mut() {
+            steps.push((a.h, a.theta));
+        }
+    }
+    Ok(CycleResult {
+        times,
+        states,
+        records,
+    })
 }
 
 /// Runs a transient analysis (fixed-grid by default; see
@@ -933,131 +1099,60 @@ pub fn transient_with(
     ws: &mut CycleWorkspace,
     opts: &TranOptions,
 ) -> Result<TranResult, EngineError> {
+    let x0 = initial_state(ckt, opts)?;
+    let cyc = collect(Stepper::for_tran(ckt, ws, opts, x0), false, None)?;
+    Ok(TranResult {
+        times: cyc.times,
+        states: cyc.states,
+    })
+}
+
+/// Validates `opts` and resolves the initial state: `opts.x0`, or else the
+/// DC operating point.
+pub(crate) fn initial_state(ckt: &Circuit, opts: &TranOptions) -> Result<Vec<f64>, EngineError> {
     validate_step_config(opts)?;
-    let n_node = ckt.n_nodes() - 1;
-    let x0 = match &opts.x0 {
-        Some(x) => x.clone(),
+    match &opts.x0 {
+        Some(x) => Ok(x.clone()),
         None => dc_operating_point(
             ckt,
             &DcOptions {
                 newton: opts.newton.clone(),
                 ..DcOptions::default()
             },
-        )?,
-    };
-    if let StepControl::Adaptive(a) = opts.step_control {
-        return transient_adaptive_detailed(ckt, ws, opts, &a, x0).map(|(res, _)| res);
+        ),
     }
-    let n_steps = ((opts.t_stop - opts.t_start) / opts.dt).round() as usize;
-    let mut times = Vec::with_capacity(n_steps + 1);
-    let mut states = Vec::with_capacity(n_steps + 1);
-    times.push(opts.t_start);
-    states.push(x0.clone());
-
-    let st = ws.state_for(ckt, opts.newton.solver, &x0, opts.t_start);
-    let mut f_aug = st.asm_prev.f.clone();
-    for (i, fi) in f_aug.iter_mut().enumerate().take(n_node) {
-        *fi += opts.gmin * x0[i];
-    }
-    let mut q = st.asm_prev.q.clone();
-    let mut x = x0;
-    for k in 1..=n_steps {
-        let t0 = opts.t_start + (k - 1) as f64 * opts.dt;
-        let t1 = opts.t_start + k as f64 * opts.dt;
-        step(
-            ckt,
-            st,
-            &mut x,
-            &mut f_aug,
-            &mut q,
-            t0,
-            t1,
-            opts.dt,
-            opts.method,
-            &opts.newton,
-            opts.gmin,
-            false,
-        )?;
-        times.push(t1);
-        states.push(x.clone());
-    }
-    Ok(TranResult { times, states })
 }
 
-/// The adaptive transient loop, also reporting the per-step θ actually used
-/// (BE startup and post-rejection retries mix methods, so θ cannot be
-/// reconstructed from [`TranOptions::method`] alone). The sequential
-/// sensitivity reference needs those θ values to re-derive each step's
-/// propagation operators independently.
-///
-/// Expects `opts` to be validated and `x0` resolved by the caller.
-pub(crate) fn transient_adaptive_detailed(
+/// [`transient_with`] on a fresh workspace, also reporting each step's
+/// `(h, θ)` on either grid (BE startup and retries mix methods on the LTE
+/// grid), for the sequential sensitivity reference. Expects `opts`
+/// validated and `x0` resolved by the caller.
+pub(crate) fn transient_detailed(
     ckt: &Circuit,
-    ws: &mut CycleWorkspace,
     opts: &TranOptions,
-    a: &AdaptiveOptions,
     x0: Vec<f64>,
-) -> Result<(TranResult, Vec<f64>), EngineError> {
-    let n_node = ckt.n_nodes() - 1;
-    let st = ws.state_for(ckt, opts.newton.solver, &x0, opts.t_start);
-    let mut drv = AdaptiveDriver::new(
-        ckt,
-        st,
-        x0.clone(),
-        opts.t_start,
-        opts.t_stop,
-        opts.dt,
-        opts.method,
-        opts.gmin,
-        a,
-        n_node,
-    );
-    let mut times = vec![opts.t_start];
-    let mut states = vec![x0];
-    let mut thetas = Vec::new();
-    while let Some(stp) = drv.advance(ckt, st, &opts.newton, opts.gmin, false)? {
-        times.push(stp.t1);
-        states.push(drv.x.clone());
-        thetas.push(stp.theta);
-    }
-    Ok((TranResult { times, states }, thetas))
-}
-
-/// Integrates exactly one period of length `period` from `x0` at `t0`,
-/// optionally recording per-step factorizations for PSS/LPTV reuse.
-///
-/// Allocates a fresh [`CycleWorkspace`] per call; shooting loops that
-/// integrate many cycles of the same circuit should hold one workspace and
-/// call [`integrate_cycle_with`] instead.
-///
-/// # Errors
-///
-/// Propagates per-step Newton failures.
-#[allow(clippy::too_many_arguments)]
-pub fn integrate_cycle(
-    ckt: &Circuit,
-    x0: &[f64],
-    t0: f64,
-    period: f64,
-    n_steps: usize,
-    method: Integrator,
-    newton: &NewtonOptions,
-    gmin: f64,
-    record: bool,
-) -> Result<CycleResult, EngineError> {
+) -> Result<(TranResult, Vec<(f64, f64)>), EngineError> {
+    let mut steps = Vec::new();
     let mut ws = CycleWorkspace::new();
-    integrate_cycle_with(
-        ckt, &mut ws, x0, t0, period, n_steps, method, newton, gmin, record,
-    )
+    let stepper = Stepper::for_tran(ckt, &mut ws, opts, x0);
+    let cyc = collect(stepper, false, Some(&mut steps))?;
+    let res = TranResult {
+        times: cyc.times,
+        states: cyc.states,
+    };
+    Ok((res, steps))
 }
 
-/// [`integrate_cycle`] with an explicit reusable workspace: repeated calls
-/// (shooting-Newton rounds, warm-up cycles, period-perturbed re-integrations)
-/// skip the per-call buffer allocation and — for the sparse backend — the
-/// symbolic pivot re-analysis.
+/// Integrates exactly one period of length `period` from `x0` at `t0` on
+/// the uniform grid `t0 + period·k/n_steps`, optionally recording per-step
+/// factorizations for PSS/LPTV reuse. The first step is backward Euler.
 ///
-/// For the dense backend the results are bit-identical to
-/// [`integrate_cycle`] (refactorization recomputes its pivots from the
+/// Repeated calls (shooting-Newton rounds, warm-up cycles, period-perturbed
+/// re-integrations) share `ws` and skip the per-call buffer allocation
+/// and — for the sparse backend — the symbolic pivot re-analysis.
+///
+/// For the dense backend the results are bit-identical to a run on a fresh
+/// [`CycleWorkspace`] (refactorization recomputes its pivots from the
 /// values). The sparse backend replays the pivot order found on the first
 /// cycle for as long as it stays numerically acceptable, exactly as it
 /// already does between the timesteps of one cycle, so a reused workspace
@@ -1067,8 +1162,8 @@ pub fn integrate_cycle(
 ///
 /// # Errors
 ///
-/// Propagates per-step Newton failures.
-#[allow(clippy::too_many_arguments)]
+/// Rejects a non-finite `t0` or `period`, `period <= 0` and `n_steps == 0`
+/// with [`EngineError::BadConfig`]; propagates per-step Newton failures.
 pub fn integrate_cycle_with(
     ckt: &Circuit,
     ws: &mut CycleWorkspace,
@@ -1081,64 +1176,18 @@ pub fn integrate_cycle_with(
     gmin: f64,
     record: bool,
 ) -> Result<CycleResult, EngineError> {
-    if n_steps == 0 || period <= 0.0 {
-        return Err(EngineError::BadConfig(
-            "cycle integration needs n_steps > 0 and period > 0".into(),
-        ));
-    }
-    let n_node = ckt.n_nodes() - 1;
     let h = period / n_steps as f64;
-    let mut times = Vec::with_capacity(n_steps + 1);
-    let mut states = Vec::with_capacity(n_steps + 1);
-    let mut records = Vec::with_capacity(if record { n_steps } else { 0 });
-    times.push(t0);
-    states.push(x0.to_vec());
-
-    let st = ws.state_for(ckt, newton.solver, x0, t0);
-    let mut f_aug = st.asm_prev.f.clone();
-    for (i, fi) in f_aug.iter_mut().enumerate().take(n_node) {
-        *fi += gmin * x0[i];
-    }
-    let mut q = st.asm_prev.q.clone();
-    let mut x = x0.to_vec();
-    for k in 1..=n_steps {
-        let tk0 = t0 + period * (k - 1) as f64 / n_steps as f64;
-        let t1 = t0 + period * k as f64 / n_steps as f64;
-        // The first step of every cycle uses backward Euler: the trapezoidal
-        // rule carries algebraic (non-dynamic) perturbations with eigenvalue
-        // −1, which would make the cycle monodromy have unit eigenvalues on
-        // V-source branch rows and render the shooting system singular. One
-        // L-stable step annihilates those modes at O(h²) cost to the orbit.
-        let step_method = if k == 1 {
-            Integrator::BackwardEuler
-        } else {
-            method
-        };
-        let rec = step(
-            ckt,
-            st,
-            &mut x,
-            &mut f_aug,
-            &mut q,
-            tk0,
-            t1,
-            h,
-            step_method,
-            newton,
-            gmin,
-            record,
-        )?;
-        if let Some(r) = rec {
-            records.push(r);
-        }
-        times.push(t1);
-        states.push(x.clone());
-    }
-    Ok(CycleResult {
-        times,
-        states,
-        records,
-    })
+    check_span("cycle integration", t0, t0 + period, h)?;
+    let grid = Grid::Uniform {
+        t0,
+        w: period,
+        d: n_steps as f64,
+        n: n_steps,
+        k: 0,
+        be_first: true,
+    };
+    let stepper = Stepper::new(ckt, ws, newton, x0.to_vec(), t0, method, gmin, grid);
+    collect(stepper, record, None)
 }
 
 /// [`integrate_cycle_with`] on an LTE-controlled adaptive grid: integrates
@@ -1155,8 +1204,9 @@ pub fn integrate_cycle_with(
 ///
 /// # Errors
 ///
-/// Propagates per-step Newton failures and budget exhaustion.
-#[allow(clippy::too_many_arguments)]
+/// Rejects non-finite or non-positive times and invalid `adaptive`
+/// settings with [`EngineError::BadConfig`]; propagates per-step Newton
+/// failures and budget exhaustion.
 pub fn integrate_cycle_adaptive_with(
     ckt: &Circuit,
     ws: &mut CycleWorkspace,
@@ -1170,46 +1220,17 @@ pub fn integrate_cycle_adaptive_with(
     gmin: f64,
     record: bool,
 ) -> Result<CycleResult, EngineError> {
-    if period <= 0.0 || initial_dt <= 0.0 {
-        return Err(EngineError::BadConfig(
-            "adaptive cycle integration needs period > 0 and initial_dt > 0".into(),
-        ));
-    }
+    check_span("adaptive cycle integration", t0, t0 + period, initial_dt)?;
     adaptive.validate()?;
-    let n_node = ckt.n_nodes() - 1;
-    let st = ws.state_for(ckt, newton.solver, x0, t0);
-    let mut drv = AdaptiveDriver::new(
-        ckt,
-        st,
-        x0.to_vec(),
-        t0,
-        t0 + period,
-        initial_dt,
-        method,
-        gmin,
-        adaptive,
-        n_node,
-    );
-    let mut times = vec![t0];
-    let mut states = vec![x0.to_vec()];
-    let mut records = Vec::new();
-    while let Some(stp) = drv.advance(ckt, st, newton, gmin, record)? {
-        if let Some(r) = stp.record {
-            records.push(r);
-        }
-        times.push(stp.t1);
-        states.push(drv.x.clone());
-    }
-    Ok(CycleResult {
-        times,
-        states,
-        records,
-    })
+    let grid = Grid::lte(ckt, t0, t0 + period, initial_dt, adaptive, x0.len());
+    let stepper = Stepper::new(ckt, ws, newton, x0.to_vec(), t0, method, gmin, grid);
+    collect(stepper, record, None)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transens::{transient_with_sensitivities, SensInit};
     use tranvar_circuit::{Pulse, Waveform};
 
     fn rc_circuit(tau_r: f64, tau_c: f64) -> (Circuit, NodeId) {
@@ -1314,8 +1335,9 @@ mod tests {
         let x0 = vec![1.0, 0.2, -0.8e-3];
         let n = 3;
         let period = 1e-4;
-        let cyc = integrate_cycle(
+        let cyc = integrate_cycle_with(
             &ckt,
+            &mut CycleWorkspace::new(),
             &x0,
             0.0,
             period,
@@ -1346,8 +1368,9 @@ mod tests {
         }
         // FD of the flow.
         let flow = |x0: &[f64]| {
-            integrate_cycle(
+            integrate_cycle_with(
                 &ckt,
+                &mut CycleWorkspace::new(),
                 x0,
                 0.0,
                 period,
@@ -1397,8 +1420,9 @@ mod tests {
             vec![1.0, 0.2, -0.8e-3], // repeat the first start after other work
         ];
         for (round, x0) in starts.iter().enumerate() {
-            let fresh = integrate_cycle(
+            let fresh = integrate_cycle_with(
                 &ckt,
+                &mut CycleWorkspace::new(),
                 x0,
                 0.0,
                 period,
@@ -1461,8 +1485,9 @@ mod tests {
         for (round, x0) in starts.iter().enumerate() {
             // Alternate the period like autonomous shooting does.
             let per = period * (1.0 + 1e-6 * round as f64);
-            let fresh = integrate_cycle(
+            let fresh = integrate_cycle_with(
                 &ckt,
+                &mut CycleWorkspace::new(),
                 x0,
                 0.0,
                 per,
@@ -1645,10 +1670,10 @@ mod tests {
         }
     }
 
-    /// Enabling adaptive mode must not perturb the fixed path: the fixed
-    /// result is byte-for-byte the same whether or not the adaptive code is
-    /// compiled in, so here we only pin the invariant that `StepControl::Fixed`
-    /// (the default) reproduces the documented uniform grid exactly.
+    /// `StepControl::Fixed` (the default) and fixed-grid cycles reproduce
+    /// the documented uniform grids exactly: `t_start + k·dt` for a
+    /// transient; `t0 + period·k/n` with `h = period/n` and a backward-Euler
+    /// first step for a cycle.
     #[test]
     fn fixed_mode_grid_is_uniform() {
         let (ckt, _) = rc_circuit(1e3, 1e-6);
@@ -1659,6 +1684,22 @@ mod tests {
         assert_eq!(res.times.len(), 101);
         for (k, t) in res.times.iter().enumerate() {
             assert_eq!(*t, k as f64 * 1e-5);
+        }
+
+        // A cycle: `t0 + period·k/n` bitwise, every h = period/n, BE first.
+        let (t0, period, n) = (3e-4, 1e-4, 7);
+        let (x0, newton) = ([1.0, 0.2, -0.8e-3], NewtonOptions::default());
+        let mut ws = CycleWorkspace::new();
+        let trap = Integrator::Trapezoidal;
+        let cyc = integrate_cycle_with(&ckt, &mut ws, &x0, t0, period, n, trap, &newton, 0.0, true)
+            .unwrap();
+        for (k, t) in cyc.times.iter().enumerate() {
+            assert_eq!(t.to_bits(), (t0 + period * k as f64 / n as f64).to_bits());
+        }
+        assert_eq!((cyc.times.len(), cyc.records.len()), (n + 1, n));
+        for (k, rec) in cyc.records.iter().enumerate() {
+            assert_eq!(rec.h.to_bits(), (period / n as f64).to_bits());
+            assert_eq!(rec.theta, if k == 0 { 1.0 } else { 0.5 });
         }
     }
 
@@ -1678,6 +1719,23 @@ mod tests {
         opts.x0 = Some(vec![1.0, 0.0, -1e-3]);
         let res = transient(&ckt, &opts).unwrap();
         assert_eq!(res.states.len(), 2);
+        // Non-finite times slip through `<=` tests: unchecked, a NaN dt or
+        // t_stop runs zero steps and a NaN span panics in the LTE controller.
+        let lte = StepControl::Adaptive(AdaptiveOptions::default());
+        let nan = f64::NAN;
+        for (t_start, t_stop, dt) in [(0.0, 1e-3, nan), (0.0, nan, 1e-5), (nan, 1e-3, 1e-5)]
+            .into_iter()
+            .chain([(0.0, f64::INFINITY, 1e-5), (f64::NEG_INFINITY, 1e-3, 1e-5)])
+        {
+            for step_control in [StepControl::Fixed, lte] {
+                let mut bad = TranOptions::new(t_stop, dt);
+                (bad.t_start, bad.x0, bad.step_control) = (t_start, opts.x0.clone(), step_control);
+                let sens = transient_with_sensitivities(&ckt, &bad, SensInit::Zero);
+                let is_bad = |r| matches!(r, Err(EngineError::BadConfig(_)));
+                assert!(is_bad(sens.map(|_| ())), "{bad:?}");
+                assert!(is_bad(transient(&ckt, &bad).map(|_| ())), "{bad:?}");
+            }
+        }
     }
 
     #[test]
@@ -1759,19 +1817,29 @@ mod tests {
     fn rejects_bad_config() {
         let (ckt, _) = rc_circuit(1e3, 1e-6);
         assert!(transient(&ckt, &TranOptions::new(-1.0, 1e-6)).is_err());
-        assert!(matches!(
-            integrate_cycle(
-                &ckt,
-                &[0.0; 3],
-                0.0,
-                1.0,
-                0,
-                Integrator::BackwardEuler,
-                &NewtonOptions::default(),
-                0.0,
-                false
-            ),
-            Err(EngineError::BadConfig(_))
-        ));
+        // n_steps == 0, then non-finite periods and start times, on both
+        // cycle grids (unchecked, a NaN period panics in the LTE controller).
+        let (x0, newton) = ([1.0, 0.2, -0.8e-3], NewtonOptions::default());
+        let (a, be) = (AdaptiveOptions::default(), Integrator::BackwardEuler);
+        let bad = |r: Result<CycleResult, _>| matches!(r, Err(EngineError::BadConfig(_)));
+        let mut ws = CycleWorkspace::new();
+        let nan = f64::NAN;
+        for (t0, period, n) in [
+            (0.0, 1.0, 0),
+            (0.0, nan, 8),
+            (0.0, f64::INFINITY, 8),
+            (nan, 1.0, 8),
+        ] {
+            let dt = period / n as f64;
+            let fixed =
+                integrate_cycle_with(&ckt, &mut ws, &x0, t0, period, n, be, &newton, 0.0, false);
+            let lte = integrate_cycle_adaptive_with(
+                &ckt, &mut ws, &x0, t0, period, dt, &a, be, &newton, 0.0, false,
+            );
+            assert!(
+                bad(fixed) && bad(lte),
+                "t0 {t0}, period {period}, n_steps {n}"
+            );
+        }
     }
 }

@@ -37,18 +37,15 @@
 //! ([`transient_with_sensitivities_seq`]) to machine precision (the two
 //! paths may pick different pivot orders, nothing more).
 //!
-//! Both paths follow whatever grid the integrator accepts: each
-//! [`crate::tran::StepRecord`] carries its own step size and θ, so
-//! [`crate::tran::StepControl::Adaptive`] runs propagate on the non-uniform
-//! accepted grid with the same windowed pipeline (the only difference is
-//! that the window is filled by the LTE controller instead of a uniform
-//! step count).
+//! The windows are filled by the same stepping loop as every other
+//! transient on either grid: each [`crate::tran::StepRecord`] carries its
+//! own step size and θ, so a [`crate::tran::StepControl::Adaptive`] run
+//! propagates on the non-uniform accepted grid with no separate code path.
 
-use crate::dc::{dc_operating_point, DcOptions};
 use crate::error::EngineError;
 use crate::sens::{dc_sensitivities, param_step_rhs};
 use crate::solver::{combine, FactoredJacobian};
-use crate::tran::{StepControl, StepRecord, TranOptions, TranResult};
+use crate::tran::{StepRecord, Stepper, TranOptions, TranResult};
 use tranvar_circuit::{Circuit, ParamDeriv};
 use tranvar_num::dense::vecops;
 
@@ -85,22 +82,10 @@ fn initial_state_and_sens(
     opts: &TranOptions,
     init: SensInit,
 ) -> Result<(Vec<f64>, Vec<Vec<f64>>), EngineError> {
-    crate::tran::validate_step_config(opts)?;
-    let n = ckt.n_unknowns();
-    let n_params = ckt.mismatch_params().len();
-    let x0 = match &opts.x0 {
-        Some(x) => x.clone(),
-        None => dc_operating_point(
-            ckt,
-            &DcOptions {
-                newton: opts.newton.clone(),
-                ..DcOptions::default()
-            },
-        )?,
-    };
+    let x0 = crate::tran::initial_state(ckt, opts)?;
     let s0: Vec<Vec<f64>> = match init {
         SensInit::FromDc => dc_sensitivities(ckt, &x0, opts.newton.solver)?,
-        SensInit::Zero => vec![vec![0.0; n]; n_params],
+        SensInit::Zero => vec![vec![0.0; ckt.n_unknowns()]; ckt.mismatch_params().len()],
     };
     Ok((x0, s0))
 }
@@ -123,11 +108,10 @@ struct ChunkState {
 }
 
 /// Advances one parameter chunk through one window of recorded steps —
-/// the propagate phase of the pipeline, shared verbatim by the fixed-grid
-/// and adaptive paths (each record carries its own `h` and `θ`, so the
-/// arithmetic is grid-agnostic). `window_start` is the global step index of
-/// `records[0]`; `sens_chunk[kk]` must already have storage through
-/// `window_start + records.len() - 1`.
+/// the propagate phase of the pipeline (each record carries its own `h`
+/// and `θ`, so the arithmetic is grid-agnostic). `window_start` is the
+/// global step index of `records[0]`; `sens_chunk[kk]` must already have
+/// storage through `window_start + records.len() - 1`.
 fn propagate_window(
     ckt: &Circuit,
     cs: &mut ChunkState,
@@ -215,26 +199,23 @@ pub fn transient_with_sensitivities_with(
 ) -> Result<TranSensResult, EngineError> {
     let (x0, s0) = initial_state_and_sens(ckt, opts, init)?;
     let n = ckt.n_unknowns();
-    let n_node = ckt.n_nodes() - 1;
     let n_params = ckt.mismatch_params().len();
-    let h = opts.dt;
-    // Fixed mode: the exact step count. Adaptive mode: the accepted count is
-    // unknown ahead of time, so this initial-dt estimate only sizes the
-    // thread pool and the preallocation; adaptive storage grows per window.
+    // The fixed-grid step count (the initial-dt estimate on the LTE grid)
+    // only sizes the thread pool.
     let n_steps = ((opts.t_stop - opts.t_start) / opts.dt).round() as usize;
     let want_records = n_params > 0;
-    let fixed = matches!(opts.step_control, StepControl::Fixed);
-
-    // Preallocate the entire output so the propagation loops never allocate
-    // (fixed mode; adaptive extends it window by window).
-    let prealloc_steps = if fixed { n_steps } else { 0 };
-    let mut sens: Vec<Vec<Vec<f64>>> = (0..n_params)
-        .map(|k| {
-            let mut per_step = vec![vec![0.0; n]; prealloc_steps + 1];
-            per_step[0].copy_from_slice(&s0[k]);
-            per_step
-        })
-        .collect();
+    // The shared stepping loop (the one behind `tran::transient`, so the
+    // nominal trajectory is bitwise identical) fills each window with
+    // accepted steps, recording the factored J and coupling B of each, so
+    // the sensitivity pass never re-assembles or re-factors anything.
+    let mut stepper = Stepper::for_tran(ckt, ws, opts, x0.clone());
+    // Storage for every step the grid knows of in advance (a uniform grid's;
+    // an LTE grid's grows window by window). Growing it between the step
+    // records' allocations measured ~10 % slower on the logic-path bench.
+    let mut sens = vec![vec![vec![0.0; n]; 1 + stepper.steps_hint()]; n_params];
+    for (hist, s) in sens.iter_mut().zip(&s0) {
+        hist[0].copy_from_slice(s);
+    }
 
     // Auto mode stays single-threaded when the whole propagation is too
     // small to amortize the per-window thread spawns (work proxy: one
@@ -272,128 +253,33 @@ pub fn transient_with_sensitivities_with(
         })
         .collect::<Result<_, tranvar_circuit::CircuitError>>()?;
 
-    // Nominal integration state (mirrors `tran::transient`, but records the
-    // accepted per-step factorization J and coupling B so the sensitivity
-    // pass never has to re-assemble or re-factor anything).
-    let mut times = Vec::with_capacity(n_steps + 1);
-    let mut states = Vec::with_capacity(n_steps + 1);
-    times.push(opts.t_start);
-    states.push(x0.clone());
-    let st = ws.state_for(ckt, opts.newton.solver, &x0, opts.t_start);
+    let mut times = vec![opts.t_start];
+    let mut states = vec![x0];
     let mut records: Vec<StepRecord> = Vec::with_capacity(WINDOW.min(n_steps.max(1)));
-
-    if let StepControl::Adaptive(a) = opts.step_control {
-        // ── Adaptive: the shared LTE controller (the same driver behind
-        // `tran::transient`, so the nominal trajectory is bitwise identical)
-        // fills each window with accepted steps; the sensitivity storage
-        // grows with the accepted grid, window by window.
-        let mut drv = crate::tran::AdaptiveDriver::new(
-            ckt,
-            st,
-            x0,
-            opts.t_start,
-            opts.t_stop,
-            opts.dt,
-            opts.method,
-            opts.gmin,
-            &a,
-            n_node,
-        );
-        loop {
-            records.clear();
-            let window_start = states.len();
-            let mut new_steps = 0usize;
-            while new_steps < WINDOW {
-                match drv.advance(ckt, st, &opts.newton, opts.gmin, want_records)? {
-                    Some(stp) => {
-                        if let Some(r) = stp.record {
-                            records.push(r);
-                        }
-                        times.push(stp.t1);
-                        states.push(drv.x.clone());
-                        new_steps += 1;
-                    }
-                    None => break,
-                }
-            }
-            if new_steps == 0 {
-                break;
-            }
-            if want_records {
-                for hist in sens.iter_mut() {
-                    hist.resize_with(hist.len() + new_steps, || vec![0.0; n]);
-                }
-                let records_ref = &records;
-                let states_ref = &states;
-                let jobs: Vec<(&mut ChunkState, &mut [Vec<Vec<f64>>])> = chunk_states
-                    .iter_mut()
-                    .zip(sens.chunks_mut(chunk))
-                    .collect();
-                for r in crate::par::map_scoped(jobs, |(cs, sens_chunk)| {
-                    propagate_window(
-                        ckt,
-                        cs,
-                        sens_chunk,
-                        records_ref,
-                        states_ref,
-                        window_start,
-                        n,
-                    )
-                }) {
-                    r?;
-                }
-            }
-        }
-        return Ok(TranSensResult {
-            tran: TranResult { times, states },
-            sens,
-        });
-    }
-
-    let mut f_aug = st.asm_prev.f.clone();
-    for (i, fi) in f_aug.iter_mut().enumerate().take(n_node) {
-        *fi += opts.gmin * x0[i];
-    }
-    let mut q = st.asm_prev.q.clone();
-    let mut x = x0;
-
-    let mut window_start = 1usize;
-    while window_start <= n_steps {
-        let window_end = (window_start + WINDOW - 1).min(n_steps);
-        // ── Integrate-and-factor phase: the Newton solve of each step
-        // already assembles and (re)factors at the accepted state, so the
-        // record captures J and B for free.
+    loop {
+        // ── Integrate-and-factor phase.
         records.clear();
-        for step_idx in window_start..=window_end {
-            let t0 = opts.t_start + (step_idx - 1) as f64 * opts.dt;
-            let t1 = opts.t_start + step_idx as f64 * opts.dt;
-            let rec = crate::tran::step(
-                ckt,
-                st,
-                &mut x,
-                &mut f_aug,
-                &mut q,
-                t0,
-                t1,
-                h,
-                opts.method,
-                &opts.newton,
-                opts.gmin,
-                want_records,
-            )?;
-            if let Some(r) = rec {
-                records.push(r);
-            }
-            times.push(t1);
-            states.push(x.clone());
+        let window_start = states.len();
+        while states.len() - window_start < WINDOW {
+            let Some(stp) = stepper.advance(want_records)? else {
+                break;
+            };
+            records.extend(stp.record);
+            times.push(stp.t1);
+            states.push(stepper.x.clone());
+        }
+        if states.len() == window_start {
+            break;
         }
         if !want_records {
-            window_start = window_end + 1;
             continue;
         }
         // ── Propagate phase: parameter chunks in parallel. One scoped
         // worker per (state, sensitivity) chunk pair via the shared helper;
         // a single chunk runs inline.
+        for hist in sens.iter_mut().filter(|hist| hist.len() < states.len()) {
+            hist.resize_with(states.len(), || vec![0.0; n]);
+        }
         let records_ref = &records;
         let states_ref = &states;
         let jobs: Vec<(&mut ChunkState, &mut [Vec<Vec<f64>>])> = chunk_states
@@ -413,7 +299,6 @@ pub fn transient_with_sensitivities_with(
         }) {
             r?;
         }
-        window_start = window_end + 1;
     }
     Ok(TranSensResult {
         tran: TranResult { times, states },
@@ -434,30 +319,10 @@ pub fn transient_with_sensitivities_seq(
     init: SensInit,
 ) -> Result<TranSensResult, EngineError> {
     let (x0, s0) = initial_state_and_sens(ckt, opts, init)?;
-    // Fixed mode re-runs the plain transient; adaptive mode drives the same
-    // LTE controller as the batched path (so the grids match bitwise) and
-    // keeps the per-step θ, which BE startup and post-rejection BE retries
-    // make state-dependent.
-    let (res, step_thetas) = match opts.step_control {
-        StepControl::Fixed => {
-            let res = crate::tran::transient(
-                ckt,
-                &TranOptions {
-                    x0: Some(x0),
-                    ..opts.clone()
-                },
-            )?;
-            (res, Vec::new())
-        }
-        StepControl::Adaptive(a) => crate::tran::transient_adaptive_detailed(
-            ckt,
-            &mut crate::tran::CycleWorkspace::new(),
-            opts,
-            &a,
-            x0,
-        )?,
-    };
-    let fixed = matches!(opts.step_control, StepControl::Fixed);
+    // The same stepping loop as the batched path (so the grids match
+    // bitwise), also reporting each step's (h, θ): BE startup and
+    // post-rejection BE retries make θ state-dependent on the LTE grid.
+    let (res, steps) = crate::tran::transient_detailed(ckt, opts, x0)?;
     let n_node = ckt.n_nodes() - 1;
     let n_params = ckt.mismatch_params().len();
 
@@ -467,13 +332,7 @@ pub fn transient_with_sensitivities_seq(
     }
     // Propagate: J·S₁ = B·S₀ − w.
     for step in 1..res.states.len() {
-        let (h, theta) = if fixed {
-            (opts.dt, opts.method.theta())
-        } else {
-            // The driver derives each h from the time difference, so this
-            // reconstruction is bitwise exact.
-            (res.times[step] - res.times[step - 1], step_thetas[step - 1])
-        };
+        let (h, theta) = steps[step - 1];
         let x_prev = &res.states[step - 1];
         let x_cur = &res.states[step];
         let asm0 = ckt.assemble(x_prev, res.times[step - 1]);
@@ -566,6 +425,17 @@ mod tests {
         ckt
     }
 
+    /// The nominal trajectory is bitwise the plain transient's, per call and
+    /// through a session (Debug prints shortest round-trip floats, so equal
+    /// text means equal bits).
+    fn assert_one_nominal_trajectory(ckt: &Circuit, opts: &TranOptions, par: &TranSensResult) {
+        let nominal = format!("{:?}", par.tran);
+        let plain = crate::tran::transient(ckt, opts).unwrap();
+        assert_eq!(nominal, format!("{plain:?}"));
+        let session = crate::Session::default().transient(ckt, opts).unwrap();
+        assert_eq!(nominal, format!("{session:?}"));
+    }
+
     /// RC charging with a resistor-mismatch parameter: compare the
     /// propagated sensitivity against finite-difference re-simulation.
     #[test]
@@ -639,6 +509,7 @@ mod tests {
             let mut opts = base.clone();
             opts.threads = threads;
             let par = transient_with_sensitivities(&ckt, &opts, SensInit::FromDc).unwrap();
+            assert_one_nominal_trajectory(&ckt, &opts, &par);
             assert_eq!(par.sens.len(), seq.sens.len());
             let mut max_diff = 0.0f64;
             for (pk, sk) in par.sens.iter().zip(seq.sens.iter()) {
@@ -673,6 +544,7 @@ mod tests {
             let mut opts = base.clone();
             opts.threads = threads;
             let par = transient_with_sensitivities(&ckt, &opts, SensInit::FromDc).unwrap();
+            assert_one_nominal_trajectory(&ckt, &opts, &par);
             // The nominal grids must agree bitwise: all paths drive the
             // same LTE controller.
             assert_eq!(par.tran.times.len(), seq.tran.times.len());

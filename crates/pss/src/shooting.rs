@@ -4,7 +4,8 @@
 //! finds the fixed point of the one-period flow map `Φ_T`: solve
 //! `Φ_T(x₀) − x₀ = 0` with Newton, whose Jacobian is the monodromy matrix
 //! `M = ∂Φ_T/∂x₀` assembled from the per-step records of
-//! [`tranvar_engine::integrate_cycle`] (paper Section IV, refs. \[12\],\[16\]).
+//! [`tranvar_engine::integrate_cycle_with`] (paper Section IV, refs.
+//! \[12\],\[16\]).
 //!
 //! Because shooting is a root-finder rather than a forward simulation it
 //! converges to *unstable or marginally stable* periodic orbits as well —
@@ -211,15 +212,8 @@ impl PssSolution {
     }
 }
 
-/// Propagates the monodromy matrix `M = ∏ J_k⁻¹ B_k` from cycle records.
-///
-/// Single-threaded convenience wrapper around [`monodromy_threaded`]; the
-/// shooting drivers pass [`PssOptions::threads`] through instead.
-pub fn monodromy(records: &[StepRecord], n: usize) -> DMat<f64> {
-    monodromy_threaded(records, n, 1)
-}
-
-/// Batched, threaded monodromy accumulation.
+/// Propagates the monodromy matrix `M = ∏ J_k⁻¹ B_k` from cycle records:
+/// the batched, threaded accumulation.
 ///
 /// The `n` columns of `M` propagate independently through the record
 /// product, so they are split into contiguous chunks — one std scoped
@@ -443,8 +437,8 @@ pub(crate) fn finish(
 }
 
 pub(crate) fn check_periodicity(ckt: &Circuit, period: f64) -> Result<(), PssError> {
-    if period <= 0.0 {
-        return Err(PssError::BadConfig("period must be positive".into()));
+    if !(period.is_finite() && period > 0.0) {
+        return Err(PssError::BadConfig("period must be finite and > 0".into()));
     }
     for (i, dev) in ckt.devices().iter().enumerate() {
         let wave = match dev {
@@ -708,5 +702,29 @@ mod tests {
         ckt.add_resistor("R1", a, NodeId::GROUND, 1e3);
         let err = shooting_pss(&ckt, 1.0 / 2.0e5, &PssOptions::default());
         assert!(matches!(err, Err(PssError::NotPeriodic { .. })));
+    }
+
+    /// A NaN period slips through a `period <= 0.0` test; unchecked, the
+    /// fixed grid fails deep inside Newton and the adaptive grid panics.
+    #[test]
+    fn rejects_non_finite_period() {
+        let mut ckt = Circuit::new();
+        let a = ckt.node("a");
+        ckt.add_vsource("V1", a, NodeId::GROUND, Waveform::Dc(1.0));
+        ckt.add_capacitor("C1", a, NodeId::GROUND, 1e-9);
+        let lte = StepControl::Adaptive(Default::default());
+        for step_control in [StepControl::Fixed, lte] {
+            let opts = PssOptions {
+                step_control,
+                ..PssOptions::default()
+            };
+            for period in [f64::NAN, f64::INFINITY, 0.0] {
+                let res = shooting_pss(&ckt, period, &opts);
+                assert!(
+                    matches!(res, Err(PssError::BadConfig(_))),
+                    "{period}: {res:?}"
+                );
+            }
+        }
     }
 }

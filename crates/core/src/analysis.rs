@@ -17,7 +17,7 @@ use crate::metric::Metric;
 use crate::report::{Contribution, VariationReport};
 use tranvar_circuit::{Circuit, NodeId};
 use tranvar_engine::Session;
-use tranvar_lptv::{PeriodicResponse, PeriodicSolver};
+use tranvar_lptv::{LptvOptions, PeriodicResponse, PeriodicSolver};
 use tranvar_pss::{autonomous_pss_in, shooting_pss_in, OscOptions, PssOptions, PssSolution};
 
 /// How the periodic steady state is obtained.
@@ -141,16 +141,30 @@ pub fn analyze_in(
     config: &PssConfig,
     metrics: &[MetricSpec],
 ) -> Result<AnalysisResult, CoreError> {
-    let pss = solve_pss_in(session, ckt, config)?;
-    let solver = PeriodicSolver::with_session(ckt, &pss, session)?;
-    let responses = solver.all_param_responses()?;
-    drop(solver);
+    let (pss, responses) = solve_in(session, ckt, config)?;
     let reports = reports_from_responses(ckt, &pss, &responses, metrics)?;
     Ok(AnalysisResult {
         pss,
         responses,
         reports,
     })
+}
+
+/// The PSS orbit plus every unit-parameter response, on `session`. The
+/// LPTV passes run on the session's thread policy and charge the config's
+/// solve budget, so one budget bounds the whole solve.
+pub(crate) fn solve_in(
+    session: &mut Session,
+    ckt: &Circuit,
+    config: &PssConfig,
+) -> Result<(PssSolution, Vec<PeriodicResponse>), CoreError> {
+    let pss = solve_pss_in(session, ckt, config)?;
+    let opts = LptvOptions {
+        threads: session.threads(),
+        budget: shooting_opts(config).newton.budget.clone(),
+    };
+    let responses = PeriodicSolver::with_options(ckt, &pss, opts)?.all_param_responses()?;
+    Ok((pss, responses))
 }
 
 /// The shooting controls of either configuration (its Newton options carry

@@ -44,7 +44,7 @@ use tranvar_engine::{
     chunk_ranges, effective_threads, fault, is_retryable, map_scoped, Escalation, RetryPolicy,
     Session, SessionOptions, SessionStats, SolveDiagnostics,
 };
-use tranvar_lptv::{LptvError, PeriodicResponse, PeriodicSolver};
+use tranvar_lptv::{LptvError, PeriodicResponse};
 use tranvar_num::NumError;
 use tranvar_pss::{PssError, PssSolution};
 
@@ -309,10 +309,7 @@ fn solve_variant(
     fault::panic_at(fault::sites::SCENARIO, solve_index);
     let mut ckt = base.clone();
     ckt.revalue(solve_overrides)?;
-    let pss = crate::analysis::solve_pss_in(session, &ckt, config)?;
-    let lptv = PeriodicSolver::with_session(&ckt, &pss, session)?;
-    let responses = lptv.all_param_responses()?;
-    Ok((pss, responses))
+    crate::analysis::solve_in(session, &ckt, config)
 }
 
 /// The result of one unique solve run through [`solve_unique`]: the
@@ -804,6 +801,48 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// One budget bounds the whole solve, LPTV passes included. The
+    /// divider's last factorization lands after its last PSS check, so a
+    /// factorization limit one below a full solve's count `F` trips at the
+    /// first LPTV pass — through `analyze` and through `Campaign::run`.
+    #[test]
+    fn lptv_passes_charge_the_config_budget() {
+        use crate::analysis::analyze;
+        use tranvar_engine::{BudgetLimits, EngineError, SolveBudget};
+        let ckt = divider();
+        let scenarios = [Scenario::new("only", vec![])];
+        let with_limit = |limit: u64| {
+            let budget = SolveBudget::new(BudgetLimits::default().max_factorizations(limit));
+            let mut camp = campaign(&ckt).with_threads(1);
+            if let PssConfig::Driven { opts, .. } = &mut camp.config {
+                opts.newton.budget = budget.clone();
+            }
+            (camp, budget)
+        };
+        let is_lptv_trip = |r: Result<&_, &CoreError>| {
+            matches!(r, Err(CoreError::Lptv(LptvError::Engine(
+                EngineError::BudgetExceeded { analysis, .. }
+            ))) if analysis == "lptv pass")
+        };
+
+        let (camp, budget) = with_limit(u64::MAX);
+        analyze(&ckt, camp.config(), camp.metrics()).unwrap();
+        let f = budget.factorizations();
+        let (camp, _) = with_limit(f - 1);
+        let res = analyze(&ckt, camp.config(), camp.metrics());
+        assert!(is_lptv_trip(res.as_ref()), "{res:?}");
+
+        let (camp, budget) = with_limit(u64::MAX);
+        assert!(camp.run(&ckt, &scenarios).unwrap().outcomes[0]
+            .result
+            .is_ok());
+        let f = budget.factorizations();
+        let (camp, _) = with_limit(f - 1);
+        let res = camp.run(&ckt, &scenarios).unwrap();
+        let oc = &res.outcomes[0].result;
+        assert!(is_lptv_trip(oc.as_ref()), "{oc:?}");
     }
 
     #[cfg(feature = "fault-inject")]

@@ -16,22 +16,12 @@
 use crate::error::CoreError;
 use tranvar_circuit::{Circuit, NodeId};
 use tranvar_lptv::PeriodicResponse;
-use tranvar_num::interp::{
-    first_crossing_after, is_uniform_grid, lerp_at, time_weighted_mean, Edge,
-};
+use tranvar_num::interp::{first_crossing_after, lerp_at, Edge};
 use tranvar_pss::PssSolution;
 
-/// Cycle-mean of a periodic waveform sampled on `times` (with the period
-/// endpoint duplicating sample 0). Uniform grids keep the historical
-/// arithmetic mean over the first `n` samples bit-identical; adaptive grids
-/// use the trapezoidal time-weighted mean, which the duplicated endpoint
-/// makes exact for the closed orbit.
-fn cycle_mean(times: &[f64], w: &[f64]) -> f64 {
-    if is_uniform_grid(times, 1e-9) {
-        w[..w.len() - 1].iter().sum::<f64>() / (w.len() - 1) as f64
-    } else {
-        time_weighted_mean(times, w)
-    }
+/// Cycle-mean of a periodic waveform whose last sample duplicates sample 0.
+fn cycle_mean(w: &[f64]) -> f64 {
+    w[..w.len() - 1].iter().sum::<f64>() / (w.len() - 1) as f64
 }
 
 /// A transient performance metric.
@@ -82,7 +72,7 @@ impl Metric {
         match self {
             Metric::DcAverage { node } => {
                 let w = sol.node_waveform(ckt, *node);
-                Ok(cycle_mean(&sol.times, &w))
+                Ok(cycle_mean(&w))
             }
             Metric::CrossingShift {
                 node,
@@ -126,10 +116,8 @@ impl Metric {
     ) -> Result<f64, CoreError> {
         match self {
             Metric::DcAverage { node } => {
-                // The periodic response is sampled on the same (possibly
-                // adaptive) grid as the orbit it perturbs.
                 let w = resp.node_waveform(ckt, *node);
-                Ok(cycle_mean(&sol.times, &w))
+                Ok(cycle_mean(&w))
             }
             Metric::CrossingShift {
                 node,

@@ -61,8 +61,7 @@ pub use retry::{
 pub use session::{Session, SessionOptions, SessionStats};
 pub use solver::{FactoredJacobian, SolverKind, SolverStats};
 pub use tran::{
-    integrate_cycle_adaptive_with, integrate_cycle_with, transient, transient_with,
-    AdaptiveOptions, CycleResult, CycleWorkspace, Integrator, StepControl, StepRecord, TranOptions,
-    TranResult,
+    integrate_cycle_with, transient, transient_with, AdaptiveOptions, CycleResult, CycleWorkspace,
+    Integrator, StepControl, StepRecord, TranOptions, TranResult,
 };
 pub use transens::{effective_threads, effective_threads_for_work, MIN_WORK_PER_THREAD};

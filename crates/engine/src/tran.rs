@@ -6,7 +6,7 @@
 //!
 //! Plain transients, the sensitivity windows of [`crate::transens`] and
 //! PSS cycles all walk one stepping loop, on one of two grids selected by
-//! [`TranOptions::step_control`] (for cycles, by the entry point):
+//! [`TranOptions::step_control`] (cycles always take the uniform grid):
 //!
 //! * [`StepControl::Fixed`] (the default) integrates on the uniform grid
 //!   `t_k = t_start + k·dt`; a cycle uses `t_k = t0 + period·k/n` and takes
@@ -67,8 +67,7 @@
 //! comes from. Each record carries its own step size and θ
 //! ([`StepRecord::h`], [`StepRecord::theta`]), so downstream consumers
 //! (sensitivity propagation, monodromy accumulation, LPTV) follow the
-//! accepted grid whether it is uniform or adaptive
-//! ([`integrate_cycle_adaptive_with`]).
+//! accepted grid whether it is uniform or adaptive.
 
 use crate::dc::{dc_operating_point, DcOptions, NewtonOptions};
 use crate::error::EngineError;
@@ -1190,43 +1189,6 @@ pub fn integrate_cycle_with(
     collect(stepper, record, None)
 }
 
-/// [`integrate_cycle_with`] on an LTE-controlled adaptive grid: integrates
-/// exactly one period starting from step size `initial_dt`, accepting,
-/// shrinking and growing steps per `adaptive`, and lands exactly on
-/// `t0 + period` (the final step is stretched or shortened to the endpoint).
-///
-/// The first accepted steps are backward Euler (the adaptive startup — at
-/// least the first step, which the fixed-grid cycle also forces to BE so
-/// the monodromy stays free of unit algebraic eigenvalues; see
-/// [`integrate_cycle_with`]). Each [`StepRecord`] carries its own `h` and
-/// `θ`, so monodromy accumulation and the LPTV solver consume the
-/// non-uniform record grid unchanged.
-///
-/// # Errors
-///
-/// Rejects non-finite or non-positive times and invalid `adaptive`
-/// settings with [`EngineError::BadConfig`]; propagates per-step Newton
-/// failures and budget exhaustion.
-pub fn integrate_cycle_adaptive_with(
-    ckt: &Circuit,
-    ws: &mut CycleWorkspace,
-    x0: &[f64],
-    t0: f64,
-    period: f64,
-    initial_dt: f64,
-    adaptive: &AdaptiveOptions,
-    method: Integrator,
-    newton: &NewtonOptions,
-    gmin: f64,
-    record: bool,
-) -> Result<CycleResult, EngineError> {
-    check_span("adaptive cycle integration", t0, t0 + period, initial_dt)?;
-    adaptive.validate()?;
-    let grid = Grid::lte(ckt, t0, t0 + period, initial_dt, adaptive, x0.len());
-    let stepper = Stepper::new(ckt, ws, newton, x0.to_vec(), t0, method, gmin, grid);
-    collect(stepper, record, None)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1638,38 +1600,6 @@ mod tests {
         );
     }
 
-    /// Adaptive cycle integration lands exactly on `t0 + period`, starts
-    /// with a backward-Euler step, and records every accepted step.
-    #[test]
-    fn adaptive_cycle_lands_on_period() {
-        let (ckt, _) = rc_circuit(1e3, 1e-6);
-        let x0 = vec![1.0, 0.2, -0.8e-3];
-        let period = 1e-4;
-        let a = AdaptiveOptions::default();
-        let mut ws = CycleWorkspace::new();
-        let cyc = integrate_cycle_adaptive_with(
-            &ckt,
-            &mut ws,
-            &x0,
-            0.0,
-            period,
-            period / 32.0,
-            &a,
-            Integrator::Trapezoidal,
-            &NewtonOptions::default(),
-            1e-12,
-            true,
-        )
-        .unwrap();
-        assert_eq!(*cyc.times.last().unwrap(), period);
-        assert_eq!(cyc.records.len(), cyc.states.len() - 1);
-        assert_eq!(cyc.records[0].theta, 1.0, "first cycle step must be BE");
-        for (rec, w) in cyc.records.iter().zip(cyc.times.windows(2)) {
-            assert_eq!(rec.t1, w[1]);
-            assert_eq!(rec.h, w[1] - w[0], "record h must match the grid");
-        }
-    }
-
     /// `StepControl::Fixed` (the default) and fixed-grid cycles reproduce
     /// the documented uniform grids exactly: `t_start + k·dt` for a
     /// transient; `t0 + period·k/n` with `h = period/n` and a backward-Euler
@@ -1817,11 +1747,9 @@ mod tests {
     fn rejects_bad_config() {
         let (ckt, _) = rc_circuit(1e3, 1e-6);
         assert!(transient(&ckt, &TranOptions::new(-1.0, 1e-6)).is_err());
-        // n_steps == 0, then non-finite periods and start times, on both
-        // cycle grids (unchecked, a NaN period panics in the LTE controller).
+        // n_steps == 0, then non-finite periods and start times.
         let (x0, newton) = ([1.0, 0.2, -0.8e-3], NewtonOptions::default());
-        let (a, be) = (AdaptiveOptions::default(), Integrator::BackwardEuler);
-        let bad = |r: Result<CycleResult, _>| matches!(r, Err(EngineError::BadConfig(_)));
+        let be = Integrator::BackwardEuler;
         let mut ws = CycleWorkspace::new();
         let nan = f64::NAN;
         for (t0, period, n) in [
@@ -1830,14 +1758,10 @@ mod tests {
             (0.0, f64::INFINITY, 8),
             (nan, 1.0, 8),
         ] {
-            let dt = period / n as f64;
-            let fixed =
+            let res =
                 integrate_cycle_with(&ckt, &mut ws, &x0, t0, period, n, be, &newton, 0.0, false);
-            let lte = integrate_cycle_adaptive_with(
-                &ckt, &mut ws, &x0, t0, period, dt, &a, be, &newton, 0.0, false,
-            );
             assert!(
-                bad(fixed) && bad(lte),
+                matches!(res, Err(EngineError::BadConfig(_))),
                 "t0 {t0}, period {period}, n_steps {n}"
             );
         }

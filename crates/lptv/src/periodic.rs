@@ -19,17 +19,9 @@
 //! For autonomous (oscillator) orbits, `I − M` is singular along the phase
 //! mode; the system is bordered with the stored phase condition and period
 //! derivative, and the extra unknown `δT` *is* the period sensitivity that
-//! Section V-C turns into frequency variance.
-//!
-//! The solver is *grid-agnostic*: every recurrence coefficient comes from
-//! the per-step [`StepRecord`]s (`h`, `θ`, the factored `J_k`), so a PSS
-//! orbit integrated under [`StepControl::Adaptive`] — whose records sit on a
-//! non-uniform LTE-controlled grid — propagates exactly like a fixed-grid
-//! one. Metric extraction downstream (`tranvar-core`) detects the grid kind
-//! and time-weights its averages accordingly.
-//!
-//! [`StepRecord`]: tranvar_engine::StepRecord
-//! [`StepControl::Adaptive`]: tranvar_engine::tran::StepControl::Adaptive
+//! Section V-C turns into frequency variance. Both operators come from
+//! [`tranvar_pss::shooting_matrix`], the one the shooting Newton rounds
+//! solve.
 
 use crate::error::LptvError;
 use tranvar_circuit::{Circuit, ParamDeriv};
@@ -38,8 +30,8 @@ use tranvar_engine::{
     effective_threads_for_work, map_scoped, Session, SolveBudget, MIN_WORK_PER_THREAD,
 };
 use tranvar_num::dense::vecops;
-use tranvar_num::{DMat, Lu};
-use tranvar_pss::PssSolution;
+use tranvar_num::Lu;
+use tranvar_pss::{shooting_matrix, PssSolution};
 
 /// Controls for the batched LPTV parameter propagation.
 ///
@@ -87,7 +79,6 @@ pub struct PeriodicSolver<'a> {
     /// Factored `(I − M)` for driven, or the bordered `(n+1)` system for
     /// autonomous orbits.
     boundary: Lu<f64>,
-    autonomous: bool,
     opts: LptvOptions,
 }
 
@@ -111,6 +102,8 @@ impl<'a> PeriodicSolver<'a> {
     /// worker count). The boundary factorization itself is per-orbit state
     /// and is always computed here; the per-step factorizations come from
     /// the PSS records, which the session-run PSS solve already reused.
+    /// The budget stays unlimited; bound the passes through
+    /// [`PeriodicSolver::with_options`].
     ///
     /// # Errors
     ///
@@ -143,39 +136,18 @@ impl<'a> PeriodicSolver<'a> {
         if sol.records.is_empty() {
             return Err(LptvError::MissingRecords);
         }
-        let n = ckt.n_unknowns();
-        let autonomous = sol.dphi_dt.is_some();
-        let boundary = if autonomous {
-            let dphi = sol
-                .dphi_dt
-                .as_ref()
-                .ok_or(LptvError::MissingAutonomousData)?;
-            let pi = sol.phase_unknown.ok_or(LptvError::MissingAutonomousData)?;
-            let mut a = DMat::<f64>::zeros(n + 1, n + 1);
-            for i in 0..n {
-                for j in 0..n {
-                    a[(i, j)] = -sol.monodromy[(i, j)];
-                }
-                a[(i, i)] += 1.0;
-                a[(i, n)] = -dphi[i];
-            }
-            a[(n, pi)] = 1.0;
-            a.lu()?
-        } else {
-            let mut a = DMat::<f64>::zeros(n, n);
-            for i in 0..n {
-                for j in 0..n {
-                    a[(i, j)] = -sol.monodromy[(i, j)];
-                }
-                a[(i, i)] += 1.0;
-            }
-            a.lu()?
+        let border = match &sol.dphi_dt {
+            Some(dphi) => Some((
+                dphi.as_slice(),
+                sol.phase_unknown.ok_or(LptvError::MissingAutonomousData)?,
+            )),
+            None => None,
         };
+        let boundary = shooting_matrix(&sol.monodromy, border).lu()?;
         Ok(PeriodicSolver {
             ckt,
             sol,
             boundary,
-            autonomous,
             opts,
         })
     }
@@ -187,7 +159,7 @@ impl<'a> PeriodicSolver<'a> {
 
     /// `true` if the orbit is autonomous (oscillator).
     pub fn is_autonomous(&self) -> bool {
-        self.autonomous
+        self.boundary.n() > self.ckt.n_unknowns()
     }
 
     /// Builds the per-step source terms `w_k` for mismatch parameter `k`.
@@ -233,15 +205,12 @@ impl<'a> PeriodicSolver<'a> {
             vecops::axpy(&mut rhs, -1.0, wk);
             rec.lu.solve_into(&rhs, &mut d, &mut scratch);
         }
-        // Boundary solve.
-        let (d0, dperiod) = if self.autonomous {
-            let mut brhs = vec![0.0; n + 1];
-            brhs[..n].copy_from_slice(&d);
-            let sol = self.boundary.solve(&brhs);
-            (sol[..n].to_vec(), sol[n])
-        } else {
-            (self.boundary.solve(&d), 0.0)
-        };
+        // Boundary solve; an oscillator's bordered row starts at zero and
+        // returns the period sensitivity.
+        d.resize(self.boundary.n(), 0.0);
+        let mut d0 = self.boundary.solve(&d);
+        let dperiod = d0.get(n).copied().unwrap_or(0.0);
+        d0.truncate(n);
         // Re-propagate from the periodic initial condition.
         let mut dx = Vec::with_capacity(recs.len() + 1);
         dx.push(d0.clone());
@@ -382,7 +351,8 @@ impl<'a> PeriodicSolver<'a> {
         // one interleaved block per step.
         let mut d = vec![0.0; n * p];
         let mut rhs = vec![0.0; n * p];
-        let mut scratch = vec![0.0; tranvar_num::lanes_scratch_len(n, p)];
+        let nb = self.boundary.n();
+        let mut scratch = vec![0.0; tranvar_num::lanes_scratch_len(nb, p)];
         for (s, rec) in recs.iter().enumerate() {
             rec.b.mat_vec_interleaved(&d, &mut rhs, p);
             for (ri, wi) in rhs.iter_mut().zip(w[s].iter()) {
@@ -391,27 +361,15 @@ impl<'a> PeriodicSolver<'a> {
             rec.lu.solve_multi_lanes(&mut rhs, p, &mut scratch);
             std::mem::swap(&mut d, &mut rhs);
         }
-        // Batched boundary solve; for autonomous orbits the bordered row
-        // appends one interleaved row of zeros and returns the period
-        // sensitivities in it.
-        let mut dperiods = vec![0.0; p];
-        let mut d0 = if self.autonomous {
-            let nb = n + 1;
-            let mut bblock = vec![0.0; nb * p];
-            bblock[..n * p].copy_from_slice(&d);
-            let mut bscratch = vec![0.0; tranvar_num::lanes_scratch_len(nb, p)];
-            self.boundary
-                .solve_multi_lanes(&mut bblock, p, &mut bscratch);
-            dperiods.copy_from_slice(&bblock[n * p..]);
-            bblock.truncate(n * p);
-            bblock
-        } else {
-            self.boundary.solve_multi_lanes(&mut d, p, &mut scratch);
-            d
-        };
+        // Batched boundary solve; an oscillator's bordered row is one
+        // interleaved row of zeros that returns the period sensitivities.
+        d.resize(nb * p, 0.0);
+        self.boundary.solve_multi_lanes(&mut d, p, &mut scratch);
+        let dperiods = d.split_off(n * p);
+        let mut d0 = d;
         // Re-propagate from the periodic initial conditions.
         for (kk, resp) in out.iter_mut().enumerate() {
-            resp.dperiod = dperiods[kk];
+            resp.dperiod = dperiods.get(kk).copied().unwrap_or(0.0);
             resp.dx = Vec::with_capacity(n_steps + 1);
             resp.dx.push((0..n).map(|i| d0[i * p + kk]).collect());
         }

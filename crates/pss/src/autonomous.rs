@@ -1,45 +1,42 @@
 //! Autonomous (oscillator) PSS: shooting with the period as an extra unknown.
 //!
 //! Oscillators have no external clock — the fundamental frequency is itself
-//! an output and shifts under mismatch (paper Section IV-C). The shooting
-//! system is bordered with a phase condition that pins one state component at
-//! `t = 0`, removing the time-translation null space of `I − M`:
+//! an output and shifts under mismatch (paper Section IV-C). A warm-up
+//! transient finds a state on the orbit and a period estimate; then the
+//! shared shooting loop of [`crate::shooting`] runs with a phase condition
+//! that pins one state component at `t = 0`, bordering the system to remove
+//! the time-translation null space of `I − M`:
 //!
 //! ```text
 //! [ I − M   −∂Φ/∂T ] [δx₀]   [ Φ(x₀,T) − x₀ ]
-//! [ e_φᵀ       0   ] [δT ] = [ x₀[φ] − v_φ  ]
+//! [ e_φᵀ       0   ] [δT ] = [ v_φ − x₀[φ]  ]
 //! ```
 //!
-//! The same bordered operator later gives the *frequency sensitivity* of the
-//! oscillator to each mismatch parameter at negligible cost (the LPTV layer
-//! reuses the records and `∂Φ/∂T` stored here).
+//! The same bordered operator ([`crate::shooting_matrix`]) later gives the
+//! *frequency sensitivity* of the oscillator to each mismatch parameter at
+//! negligible cost (the LPTV layer reuses the records and `∂Φ/∂T` stored
+//! here).
 
 use crate::error::PssError;
-use crate::shooting::last_state;
-use crate::shooting::{
-    check_periodicity, finish, integrate_pss_cycle, monodromy_threaded, PssOptions, PssSolution,
-};
+use crate::shooting::{check_periodicity, shoot, Phase, PssOptions, PssSolution};
 use tranvar_circuit::{Circuit, NodeId};
 use tranvar_engine::dc::DcOptions;
 use tranvar_engine::measure::average_period;
 use tranvar_engine::tran::TranOptions;
 use tranvar_engine::{NewtonOptions, Session, SessionOptions};
-use tranvar_num::dense::vecops;
 use tranvar_num::interp::{crossings, Edge};
-use tranvar_num::DMat;
+
+/// Warm-up length in units of the period hint.
+const SETTLE_PERIODS: f64 = 12.0;
+/// Initial-condition kick (V) applied to the phase node to break the
+/// symmetric latch-up equilibrium.
+const KICK: f64 = 0.1;
 
 /// Oscillator PSS controls on top of [`PssOptions`].
 #[derive(Clone, Debug, PartialEq)]
 pub struct OscOptions {
     /// Shared shooting controls.
     pub pss: PssOptions,
-    /// Warm-up length in units of the period hint.
-    pub settle_periods: f64,
-    /// Initial-condition kick (V) applied to the phase node to break the
-    /// symmetric latch-up equilibrium.
-    pub kick: f64,
-    /// Relative clamp on period updates per Newton iteration.
-    pub period_update_limit: f64,
 }
 
 impl Default for OscOptions {
@@ -48,69 +45,8 @@ impl Default for OscOptions {
         // Trapezoidal preserves oscillation amplitude/period.
         pss.method = tranvar_engine::Integrator::Trapezoidal;
         pss.tol = 1e-8;
-        OscOptions {
-            pss,
-            settle_periods: 12.0,
-            kick: 0.1,
-            period_update_limit: 0.1,
-        }
+        OscOptions { pss }
     }
-}
-
-/// Result of the warm-up transient: a refined period estimate and a state on
-/// the orbit at a rising crossing of the phase level.
-struct Warmup {
-    period_est: f64,
-    x_start: Vec<f64>,
-    phase_value: f64,
-}
-
-fn warm_up(
-    session: &mut Session,
-    ckt: &Circuit,
-    period_hint: f64,
-    phase_node: NodeId,
-    phase_value: f64,
-    opts: &OscOptions,
-) -> Result<Warmup, PssError> {
-    let newton = NewtonOptions {
-        solver: session.solver(),
-        ..opts.pss.newton.clone()
-    };
-    let mut x0 = session.dc_operating_point(
-        ckt,
-        &DcOptions {
-            newton: newton.clone(),
-            ..DcOptions::default()
-        },
-    )?;
-    if let Some(i) = ckt.unknown_of_node(phase_node) {
-        x0[i] += opts.kick;
-    }
-    let t_stop = opts.settle_periods * period_hint;
-    let dt = period_hint / opts.pss.n_steps as f64;
-    let mut tran_opts = TranOptions::new(t_stop, dt);
-    tran_opts.step_control = opts.pss.step_control;
-    tran_opts.method = opts.pss.method;
-    tran_opts.newton = newton;
-    tran_opts.gmin = opts.pss.gmin;
-    tran_opts.x0 = Some(x0);
-    let res = session.transient(ckt, &tran_opts)?;
-    let period_est = average_period(ckt, &res, phase_node, phase_value, 3).map_err(|e| {
-        PssError::NoOscillation {
-            detail: format!("warm-up transient shows no periodicity: {e}"),
-        }
-    })?;
-    // State at the last rising crossing of the phase level.
-    let w = res.node_waveform(ckt, phase_node);
-    let rises = crossings(&res.times, &w, phase_value, Edge::Rising);
-    let t_cross = *rises.last().expect("average_period guarantees crossings");
-    let idx = tranvar_num::interp::nearest_index(&res.times, t_cross);
-    Ok(Warmup {
-        period_est,
-        x_start: res.states[idx].clone(),
-        phase_value: w[idx],
-    })
 }
 
 /// Solves the autonomous PSS problem of an oscillator.
@@ -162,7 +98,6 @@ pub fn autonomous_pss_in(
     opts: &OscOptions,
 ) -> Result<PssSolution, PssError> {
     check_periodicity(ckt, period_hint)?; // only DC sources are allowed anyway
-    let n = ckt.n_unknowns();
     let pi = ckt
         .unknown_of_node(phase_node)
         .ok_or_else(|| PssError::BadConfig("phase node cannot be ground".into()))?;
@@ -172,109 +107,55 @@ pub fn autonomous_pss_in(
     };
     let threads = session.effective_threads(opts.pss.threads);
 
-    let warm = warm_up(session, ckt, period_hint, phase_node, phase_value, opts)?;
-    let mut x0 = warm.x_start;
-    let mut period = warm.period_est;
-    // Pin the phase to the state actually sampled (closest grid point to the
-    // crossing) — this keeps the initial phase residual tiny.
-    let v_pin = warm.phase_value;
-
+    // Warm-up: a kicked transient from DC, SETTLE_PERIODS hint periods
+    // long, for a period estimate and a state on the orbit.
+    let mut x0 = session.dc_operating_point(
+        ckt,
+        &DcOptions {
+            newton: newton.clone(),
+            ..DcOptions::default()
+        },
+    )?;
+    x0[pi] += KICK;
+    let mut tran_opts = TranOptions::new(
+        SETTLE_PERIODS * period_hint,
+        period_hint / opts.pss.n_steps as f64,
+    );
+    tran_opts.method = opts.pss.method;
+    tran_opts.newton = newton.clone();
+    tran_opts.gmin = opts.pss.gmin;
+    tran_opts.x0 = Some(x0);
+    let res = session.transient(ckt, &tran_opts)?;
+    let period_est = average_period(ckt, &res, phase_node, phase_value, 3).map_err(|e| {
+        PssError::NoOscillation {
+            detail: format!("warm-up transient shows no periodicity: {e}"),
+        }
+    })?;
+    // Start at the sample nearest the last rising crossing of the phase
+    // level, and pin the phase to the value actually sampled there — this
+    // keeps the initial phase residual tiny.
+    let w = res.node_waveform(ckt, phase_node);
+    let rises = crossings(&res.times, &w, phase_value, Edge::Rising);
+    let t_cross = *rises.last().expect("average_period guarantees crossings");
+    let idx = tranvar_num::interp::nearest_index(&res.times, t_cross);
+    let phase = Phase {
+        unknown: pi,
+        value: w[idx],
+    };
     // The session's cycle workspace serves every cycle of the bordered
     // Newton loop (two integrations per round: nominal and
     // period-perturbed) and carries over to later solves.
-    let ws = session.cycle_workspace();
-    let mut last_residual = f64::INFINITY;
-    for _iter in 0..opts.pss.max_iter {
-        // One bordered-Newton round per iteration, charged to the shared
-        // budget alongside its two inner cycle integrations.
-        newton.budget.begin_iteration("autonomous shooting")?;
-        let cyc = integrate_pss_cycle(ckt, ws, &x0, 0.0, period, &opts.pss, &newton, true)?;
-        let x_end = last_state(&cyc)?.clone();
-        let r = vecops::sub(&x_end, &x0);
-        let phase_res = x0[pi] - v_pin;
-        last_residual = vecops::norm_inf(&r).max(phase_res.abs());
-        let m = monodromy_threaded(&cyc.records, n, threads);
-
-        // ∂Φ/∂T by forward difference on the period.
-        let dt_rel = 1e-6;
-        let cyc2 = integrate_pss_cycle(
-            ckt,
-            ws,
-            &x0,
-            0.0,
-            period * (1.0 + dt_rel),
-            &opts.pss,
-            &newton,
-            false,
-        )?;
-        let x_end2 = last_state(&cyc2)?;
-        let dphi_dt: Vec<f64> = x_end2
-            .iter()
-            .zip(x_end.iter())
-            .map(|(a, b)| (a - b) / (period * dt_rel))
-            .collect();
-
-        if last_residual < opts.pss.tol {
-            return Ok(finish(
-                cyc,
-                period,
-                m,
-                opts.pss.method,
-                Some(dphi_dt),
-                Some(pi),
-                last_residual,
-            ));
-        }
-
-        // Bordered Newton system.
-        let mut a = DMat::<f64>::zeros(n + 1, n + 1);
-        for i in 0..n {
-            for j in 0..n {
-                a[(i, j)] = -m[(i, j)];
-            }
-            a[(i, i)] += 1.0;
-            a[(i, n)] = -dphi_dt[i];
-        }
-        a[(n, pi)] = 1.0;
-        let mut rhs = vec![0.0; n + 1];
-        rhs[..n].copy_from_slice(&r);
-        rhs[n] = -phase_res;
-        let sol = a.lu()?.solve(&rhs);
-        // Newton solves A·[δx; δT] = rhs with the sign convention
-        // x ← x + δx where A ≈ −∂(residual)/∂x, hence the layout above.
-        let mut dx = sol[..n].to_vec();
-        let mut dt = sol[n];
-        // Limiting.
-        let dmax = vecops::norm_inf(&dx);
-        if dmax > opts.pss.update_limit {
-            let k = opts.pss.update_limit / dmax;
-            vecops::scale(&mut dx, k);
-            dt *= k;
-        }
-        let dt_cap = opts.period_update_limit * period;
-        if dt.abs() > dt_cap {
-            let k = dt_cap / dt.abs();
-            dt *= k;
-            vecops::scale(&mut dx, k);
-        }
-        for (xi, di) in x0.iter_mut().zip(dx.iter()) {
-            *xi += di;
-        }
-        period += dt;
-        if period <= 0.0 {
-            return Err(PssError::NoConvergence {
-                analysis: "autonomous shooting".into(),
-                detail: "period iterate became non-positive".into(),
-            });
-        }
-    }
-    Err(PssError::NoConvergence {
-        analysis: "autonomous shooting".into(),
-        detail: format!(
-            "residual {last_residual:.3e} after {} iterations",
-            opts.pss.max_iter
-        ),
-    })
+    let x_start = res.states[idx].clone();
+    shoot(
+        ckt,
+        session.cycle_workspace(),
+        x_start,
+        period_est,
+        Some(phase),
+        &opts.pss,
+        &newton,
+        threads,
+    )
 }
 
 #[cfg(test)]

@@ -7,6 +7,14 @@
 //! [`tranvar_engine::integrate_cycle_with`] (paper Section IV, refs.
 //! \[12\],\[16\]).
 //!
+//! Driven and autonomous (oscillator) PSS share one Newton loop. Each round
+//! integrates one recorded cycle, forms `r = Φ(x₀) − x₀` and `M`, and solves
+//! [`shooting_matrix`]`·[δx₀; δT] = [r; −phase residual]`. A driven circuit
+//! has no phase border, so the system is `(I − M)·δx₀ = r` and `δT = 0`; an
+//! oscillator borders it with `−∂Φ/∂T` and the phase condition (see
+//! [`crate::autonomous`]). The LPTV layer factors the same operator once
+//! per orbit and reuses it for every mismatch parameter.
+//!
 //! Because shooting is a root-finder rather than a forward simulation it
 //! converges to *unstable or marginally stable* periodic orbits as well —
 //! which is exactly what the clocked-comparator metastability testbench of
@@ -16,8 +24,7 @@ use crate::error::PssError;
 use tranvar_circuit::{Circuit, NodeId};
 use tranvar_engine::dc::{DcOptions, NewtonOptions};
 use tranvar_engine::tran::{
-    integrate_cycle_adaptive_with, integrate_cycle_with, CycleResult, CycleWorkspace, Integrator,
-    StepControl, StepRecord,
+    integrate_cycle_with, CycleResult, CycleWorkspace, Integrator, StepRecord,
 };
 use tranvar_engine::{
     chunk_ranges, effective_threads_for_work, map_scoped, Session, SessionOptions,
@@ -26,10 +33,19 @@ use tranvar_engine::{
 use tranvar_num::dense::vecops;
 use tranvar_num::{DMat, NumError};
 
+/// Maximum shooting-Newton rounds.
+const MAX_ITER: usize = 40;
+/// Clamp on the ∞-norm of the state update per shooting round.
+const UPDATE_LIMIT: f64 = 0.6;
+/// Clamp on the period update per round, relative to the period.
+const PERIOD_UPDATE_LIMIT: f64 = 0.1;
+/// Relative period step of the forward-difference `∂Φ/∂T`.
+const DT_REL: f64 = 1e-6;
+
 /// Last state of an integrated cycle, as a typed error instead of a panic
 /// when the cycle is empty (`n_steps == 0` should be rejected upstream, but
 /// a kernel bug must not take down a whole campaign worker).
-pub(crate) fn last_state(cyc: &CycleResult) -> Result<&Vec<f64>, PssError> {
+fn last_state(cyc: &CycleResult) -> Result<&Vec<f64>, PssError> {
     cyc.states.last().ok_or(PssError::Num(NumError::Internal {
         what: "cycle integration produced no states",
     }))
@@ -40,9 +56,8 @@ pub(crate) fn last_state(cyc: &CycleResult) -> Result<&Vec<f64>, PssError> {
 pub struct PssOptions {
     /// Time steps per period.
     pub n_steps: usize,
-    /// Maximum shooting-Newton iterations.
-    pub max_iter: usize,
-    /// Convergence tolerance on `|Φ(x₀) − x₀|_∞`.
+    /// Convergence tolerance on `|Φ(x₀) − x₀|_∞` (and, for oscillators, on
+    /// the phase residual).
     pub tol: f64,
     /// Integration scheme (trapezoidal recommended for oscillators).
     pub method: Integrator,
@@ -52,89 +67,25 @@ pub struct PssOptions {
     pub gmin: f64,
     /// Forward warm-up cycles integrated before shooting starts.
     pub warmup_cycles: usize,
-    /// Clamp on the shooting update ∞-norm.
-    pub update_limit: f64,
     /// Worker threads for the monodromy column propagation
     /// ([`monodromy_threaded`]): `0` uses all available cores, `1` runs
     /// single-threaded. Results are bit-identical for any thread count —
     /// each state-space column's arithmetic is independent of the
     /// partitioning (mirrors [`tranvar_engine::TranOptions::threads`]).
     pub threads: usize,
-    /// Cycle-grid selection: [`StepControl::Fixed`] integrates every cycle
-    /// on the uniform `period / n_steps` grid (the bit-identical reference
-    /// path); [`StepControl::Adaptive`] lets the LTE controller pick the
-    /// accepted grid per cycle, starting each cycle at `period / n_steps`.
-    /// The per-step records carry their own `h`/`θ`, so the monodromy and
-    /// every LPTV consumer follow whichever grid was accepted.
-    ///
-    /// Because the adaptive grid moves with the shooting iterate `x₀`, the
-    /// cycle map is only reproducible to the LTE tolerance: set [`tol`]
-    /// at or above `reltol` when using the adaptive mode (the 1e-9 default
-    /// is tuned for the fixed grid and will report `NoConvergence`).
-    ///
-    /// [`tol`]: PssOptions::tol
-    pub step_control: StepControl,
 }
 
 impl Default for PssOptions {
     fn default() -> Self {
         PssOptions {
             n_steps: 256,
-            max_iter: 40,
             tol: 1e-9,
             method: Integrator::BackwardEuler,
             newton: NewtonOptions::default(),
             gmin: 1e-12,
             warmup_cycles: 2,
-            update_limit: 0.6,
             threads: 0,
-            step_control: StepControl::Fixed,
         }
-    }
-}
-
-/// Integrates one period under [`PssOptions::step_control`]: the uniform
-/// `period / n_steps` grid in fixed mode, the LTE-accepted grid (seeded at
-/// `period / n_steps`) in adaptive mode. Shared by the driven and
-/// autonomous shooting drivers so every cycle of one solve uses the same
-/// grid policy.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn integrate_pss_cycle(
-    ckt: &Circuit,
-    ws: &mut CycleWorkspace,
-    x0: &[f64],
-    t0: f64,
-    period: f64,
-    opts: &PssOptions,
-    newton: &NewtonOptions,
-    record: bool,
-) -> Result<CycleResult, tranvar_engine::EngineError> {
-    match opts.step_control {
-        StepControl::Fixed => integrate_cycle_with(
-            ckt,
-            ws,
-            x0,
-            t0,
-            period,
-            opts.n_steps,
-            opts.method,
-            newton,
-            opts.gmin,
-            record,
-        ),
-        StepControl::Adaptive(a) => integrate_cycle_adaptive_with(
-            ckt,
-            ws,
-            x0,
-            t0,
-            period,
-            period / opts.n_steps.max(1) as f64,
-            &a,
-            opts.method,
-            newton,
-            opts.gmin,
-            record,
-        ),
     }
 }
 
@@ -143,14 +94,11 @@ pub(crate) fn integrate_pss_cycle(
 pub struct PssSolution {
     /// Period (s); for autonomous circuits this is the *solved* period.
     pub period: f64,
-    /// Sample times spanning one period (uniform with
-    /// [`PssOptions::n_steps`] steps in fixed mode, the accepted
-    /// non-uniform grid in adaptive mode).
+    /// The uniform sample times `period·k/n_steps`, `k = 0..=n_steps`.
     pub times: Vec<f64>,
     /// One state per sample time; `states[0] ≈ states.last()`.
     pub states: Vec<Vec<f64>>,
-    /// Per-step factorization records (one per accepted step, each with
-    /// its own `h`/`θ`).
+    /// Per-step factorization records, one per step of the orbit's cycle.
     pub records: Vec<StepRecord>,
     /// Monodromy matrix `∂Φ_T/∂x₀`.
     pub monodromy: DMat<f64>,
@@ -177,39 +125,45 @@ impl PssSolution {
 
     /// Time-derivative of a node waveform by centered differences on the
     /// periodic grid (used for delay-sensitivity extraction).
-    ///
-    /// On a uniform grid this is the historical fixed-step arithmetic
-    /// (bit-identical to pre-adaptive results); on a non-uniform accepted
-    /// grid the differences are weighted by the actual periodic sample
-    /// spacings.
     pub fn node_slope(&self, ckt: &Circuit, node: NodeId) -> Vec<f64> {
         let w = self.node_waveform(ckt, node);
         let n = w.len() - 1; // w[0] == w[n]
-        let mut out = vec![0.0; n + 1];
-        if tranvar_num::interp::is_uniform_grid(&self.times, 1e-9) {
-            let h = self.period / n as f64;
-            for (i, o) in out.iter_mut().enumerate().take(n) {
-                let prev = w[(i + n - 1) % n];
-                let next = w[(i + 1) % n];
-                *o = (next - prev) / (2.0 * h);
-            }
-        } else {
-            for (i, o) in out.iter_mut().enumerate().take(n) {
-                // i runs over 0..n, so the "next" sample is always i+1 (at
-                // i = n−1 that is the period endpoint, which duplicates
-                // sample 0); only the "previous" sample of i = 0 wraps,
-                // through t = 0 ≡ period.
-                let (prev, t_prev) = if i == 0 {
-                    (w[n - 1], self.times[n - 1] - self.period)
-                } else {
-                    (w[i - 1], self.times[i - 1])
-                };
-                *o = (w[i + 1] - prev) / (self.times[i + 1] - t_prev);
-            }
-        }
-        out[n] = out[0];
+        let h = self.period / n as f64;
+        let mut out: Vec<f64> = (0..n)
+            .map(|i| (w[(i + 1) % n] - w[(i + n - 1) % n]) / (2.0 * h))
+            .collect();
+        out.push(out[0]);
         out
     }
+}
+
+/// The shooting boundary operator: `I − M` for a driven orbit, or, with a
+/// `(∂Φ/∂T, φ)` border, the oscillator's `(n+1)`-square system
+///
+/// ```text
+/// [ I − M   −∂Φ/∂T ]
+/// [ e_φᵀ       0   ]
+/// ```
+///
+/// The shooting Newton rounds solve it for `[δx₀; δT]`, and the LPTV
+/// periodic solver factors it once per orbit for every noise source.
+pub fn shooting_matrix(m: &DMat<f64>, border: Option<(&[f64], usize)>) -> DMat<f64> {
+    let n = m.rows();
+    let nb = n + usize::from(border.is_some());
+    let mut a = DMat::<f64>::zeros(nb, nb);
+    for i in 0..n {
+        for j in 0..n {
+            a[(i, j)] = -m[(i, j)];
+        }
+        a[(i, i)] += 1.0;
+    }
+    if let Some((dphi_dt, phase_unknown)) = border {
+        for (i, d) in dphi_dt.iter().enumerate() {
+            a[(i, n)] = -d;
+        }
+        a[(n, phase_unknown)] = 1.0;
+    }
+    a
 }
 
 /// Propagates the monodromy matrix `M = ∏ J_k⁻¹ B_k` from cycle records:
@@ -342,7 +296,6 @@ pub fn shooting_pss_in(
     opts: &PssOptions,
 ) -> Result<PssSolution, PssError> {
     check_periodicity(ckt, period)?;
-    let n = ckt.n_unknowns();
     let newton = NewtonOptions {
         solver: session.solver(),
         ..opts.newton.clone()
@@ -364,76 +317,144 @@ pub fn shooting_pss_in(
     // across solves.
     let ws = session.cycle_workspace();
     for _ in 0..opts.warmup_cycles {
-        let cyc = integrate_pss_cycle(ckt, ws, &x0, 0.0, period, opts, &newton, false)?;
+        let cyc = integrate_cycle_with(
+            ckt,
+            ws,
+            &x0,
+            0.0,
+            period,
+            opts.n_steps,
+            opts.method,
+            &newton,
+            opts.gmin,
+            false,
+        )?;
         x0 = last_state(&cyc)?.clone();
     }
+    shoot(ckt, ws, x0, period, None, opts, &newton, threads)
+}
 
+/// The oscillator phase condition: `x₀[unknown] = value`.
+pub(crate) struct Phase {
+    pub(crate) unknown: usize,
+    pub(crate) value: f64,
+}
+
+/// The shooting-Newton loop shared by driven (`phase = None`) and
+/// autonomous PSS.
+///
+/// Each round is charged to the shared budget, integrates one recorded
+/// cycle from `x0` and accumulates its monodromy `M`. With a phase
+/// condition it also integrates a cycle at `T·(1 + DT_REL)` for the
+/// forward-difference `∂Φ/∂T`. Once `|Φ(x₀) − x₀|_∞` (and the phase
+/// residual) is below `opts.tol`, the recorded cycle is the solution;
+/// otherwise the round solves [`shooting_matrix`]`·[δx₀; δT] = [r; −phase
+/// residual]`, clamps the update and steps. A driven round has no border,
+/// so `δT = 0` and the period is untouched.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn shoot(
+    ckt: &Circuit,
+    ws: &mut CycleWorkspace,
+    mut x0: Vec<f64>,
+    mut period: f64,
+    phase: Option<Phase>,
+    opts: &PssOptions,
+    newton: &NewtonOptions,
+    threads: usize,
+) -> Result<PssSolution, PssError> {
+    let (budget_label, analysis) = match phase {
+        Some(_) => ("autonomous shooting", "autonomous shooting"),
+        None => ("pss shooting", "shooting"),
+    };
+    let n = x0.len();
+    let mut cycle = |x0: &[f64], period: f64, record: bool| {
+        integrate_cycle_with(
+            ckt,
+            ws,
+            x0,
+            0.0,
+            period,
+            opts.n_steps,
+            opts.method,
+            newton,
+            opts.gmin,
+            record,
+        )
+    };
     let mut last_residual = f64::INFINITY;
-    for _iter in 0..opts.max_iter {
+    for _ in 0..MAX_ITER {
         // The shooting loop is itself a Newton iteration on the cycle map;
         // charge it to the same budget its inner integrations draw from.
-        newton.budget.begin_iteration("pss shooting")?;
-        let cyc = integrate_pss_cycle(ckt, ws, &x0, 0.0, period, opts, &newton, true)?;
-        let x_end = last_state(&cyc)?.clone();
-        let r = vecops::sub(&x_end, &x0);
-        last_residual = vecops::norm_inf(&r);
+        newton.budget.begin_iteration(budget_label)?;
+        let cyc = cycle(&x0, period, true)?;
+        let x_end = last_state(&cyc)?;
+        let mut rhs = vecops::sub(x_end, &x0);
+        last_residual = vecops::norm_inf(&rhs);
         let m = monodromy_threaded(&cyc.records, n, threads);
+        let border = match &phase {
+            Some(p) => {
+                let phase_res = x0[p.unknown] - p.value;
+                last_residual = last_residual.max(phase_res.abs());
+                let x_end2 = cycle(&x0, period * (1.0 + DT_REL), false)?;
+                let dphi_dt: Vec<f64> = last_state(&x_end2)?
+                    .iter()
+                    .zip(x_end.iter())
+                    .map(|(a, b)| (a - b) / (period * DT_REL))
+                    .collect();
+                rhs.push(-phase_res);
+                Some((dphi_dt, p.unknown))
+            }
+            None => None,
+        };
         if last_residual < opts.tol {
-            return Ok(finish(
-                cyc,
+            let (dphi_dt, phase_unknown) = border.unzip();
+            return Ok(PssSolution {
                 period,
-                m,
-                opts.method,
-                None,
-                None,
-                last_residual,
-            ));
+                times: cyc.times,
+                states: cyc.states,
+                records: cyc.records,
+                monodromy: m,
+                method: opts.method,
+                dphi_dt,
+                phase_unknown,
+                residual: last_residual,
+            });
         }
-        // Newton: (M − I)·Δ = −r.
-        let mut a = m.clone();
-        for i in 0..n {
-            a[(i, i)] -= 1.0;
+        let a = shooting_matrix(&m, border.as_ref().map(|(d, pi)| (d.as_slice(), *pi)));
+        let mut dx = a.lu()?.solve(&rhs);
+        // δT is the bordered row's unknown; a driven round has none.
+        let mut dt = dx.drain(n..).next().unwrap_or(0.0);
+        let dmax = vecops::norm_inf(&dx);
+        if dmax > UPDATE_LIMIT {
+            let k = UPDATE_LIMIT / dmax;
+            vecops::scale(&mut dx, k);
+            dt *= k;
         }
-        let mut delta = a.lu()?.solve(&r);
-        vecops::scale(&mut delta, -1.0);
-        let dmax = vecops::norm_inf(&delta);
-        if dmax > opts.update_limit {
-            let k = opts.update_limit / dmax;
-            vecops::scale(&mut delta, k);
+        // Driven rounds have δT = 0, so the period clamp never fires.
+        let dt_cap = PERIOD_UPDATE_LIMIT * period;
+        if dt.abs() > dt_cap {
+            let k = dt_cap / dt.abs();
+            dt *= k;
+            vecops::scale(&mut dx, k);
         }
-        for (xi, di) in x0.iter_mut().zip(delta.iter()) {
+        for (xi, di) in x0.iter_mut().zip(dx.iter()) {
             *xi += di;
+        }
+        period += dt;
+        if period <= 0.0 {
+            return Err(PssError::NoConvergence {
+                analysis: analysis.into(),
+                detail: "period iterate became non-positive".into(),
+            });
         }
     }
     Err(PssError::NoConvergence {
-        analysis: "shooting".into(),
+        analysis: analysis.into(),
         detail: format!(
-            "residual {last_residual:.3e} after {} iterations (tol {:.1e})",
-            opts.max_iter, opts.tol
+            "residual {last_residual:.3e} after {MAX_ITER} iterations (tol {:.1e})",
+            opts.tol
         ),
     })
-}
-
-pub(crate) fn finish(
-    cyc: CycleResult,
-    period: f64,
-    monodromy: DMat<f64>,
-    method: Integrator,
-    dphi_dt: Option<Vec<f64>>,
-    phase_unknown: Option<usize>,
-    residual: f64,
-) -> PssSolution {
-    PssSolution {
-        period,
-        times: cyc.times,
-        states: cyc.states,
-        records: cyc.records,
-        monodromy,
-        method,
-        dphi_dt,
-        phase_unknown,
-        residual,
-    }
 }
 
 pub(crate) fn check_periodicity(ckt: &Circuit, period: f64) -> Result<(), PssError> {
@@ -492,9 +513,9 @@ mod tests {
         assert!((amp - 1.0 / 2.0_f64.sqrt()).abs() < 2e-3, "amplitude {amp}");
     }
 
-    /// Pulse-driven RC: check `x(T) = x(0)` and periodic repeatability.
-    #[test]
-    fn pulse_driven_rc_is_periodic() {
+    /// A slow RC (tau = 10 µs) driven by a `v1`-volt pulse of period
+    /// 10 µs; returns the circuit, its capacitor node and the period.
+    fn pulse_rc(v1: f64) -> (Circuit, NodeId, f64) {
         let mut ckt = Circuit::new();
         let a = ckt.node("a");
         let b = ckt.node("b");
@@ -505,7 +526,7 @@ mod tests {
             NodeId::GROUND,
             Waveform::Pulse(Pulse {
                 v0: 0.0,
-                v1: 1.0,
+                v1,
                 delay: 1e-6,
                 rise: 1e-8,
                 fall: 1e-8,
@@ -514,7 +535,14 @@ mod tests {
             }),
         );
         ckt.add_resistor("R1", a, b, 10e3);
-        ckt.add_capacitor("C1", b, NodeId::GROUND, 1e-9); // tau = 10 us >> period
+        ckt.add_capacitor("C1", b, NodeId::GROUND, 1e-9);
+        (ckt, b, period)
+    }
+
+    /// Pulse-driven RC: check `x(T) = x(0)` and periodic repeatability.
+    #[test]
+    fn pulse_driven_rc_is_periodic() {
+        let (ckt, b, period) = pulse_rc(1.0);
         let sol = shooting_pss(&ckt, period, &PssOptions::default()).unwrap();
         let first = &sol.states[0];
         let last = sol.states.last().unwrap();
@@ -528,91 +556,71 @@ mod tests {
         assert!((mean - 0.4).abs() < 0.02, "ripple mean {mean}");
     }
 
-    /// Adaptive cycle integration inside shooting: same pulse-driven RC as
-    /// above, solved on an LTE-controlled grid. The orbit must still close,
-    /// the stored grid must be non-uniform with matching per-step records,
-    /// and the ripple mean (now time-weighted) must agree with the fixed-grid
-    /// reference.
+    /// The boundary operator is `I − M` entrywise for a driven orbit; the
+    /// oscillator border appends the `−∂Φ/∂T` column and the `e_φ` row,
+    /// with a zero corner.
     #[test]
-    fn adaptive_shooting_matches_fixed_reference() {
-        let mut ckt = Circuit::new();
-        let a = ckt.node("a");
-        let b = ckt.node("b");
-        let period = 10e-6;
-        ckt.add_vsource(
-            "V1",
-            a,
-            NodeId::GROUND,
-            Waveform::Pulse(Pulse {
-                v0: 0.0,
-                v1: 1.0,
-                delay: 1e-6,
-                rise: 1e-8,
-                fall: 1e-8,
-                width: 4e-6,
-                period,
-            }),
-        );
-        ckt.add_resistor("R1", a, b, 10e3);
-        ckt.add_capacitor("C1", b, NodeId::GROUND, 1e-9);
-        let mut opts = PssOptions::default();
-        opts.step_control = StepControl::Adaptive(tranvar_engine::AdaptiveOptions {
-            reltol: 1e-4,
-            abstol: 1e-7,
-            ..tranvar_engine::AdaptiveOptions::default()
-        });
-        // The adaptive grid moves with x0, so the cycle map is only accurate
-        // to the LTE tolerance: the shooting tolerance must sit at or above
-        // it (see the `step_control` field docs).
-        opts.tol = 1e-4;
-        let sol = shooting_pss(&ckt, period, &opts).unwrap();
-        assert!(sol.residual < opts.tol);
-        // Orbit closes to within the shooting tolerance.
-        let first = &sol.states[0];
-        let last = sol.states.last().unwrap();
-        for (u, v) in first.iter().zip(last.iter()) {
-            assert!((u - v).abs() < 2.0 * opts.tol);
+    fn shooting_matrix_is_i_minus_m_with_optional_border() {
+        let mut m = DMat::<f64>::zeros(2, 2);
+        m[(0, 0)] = 0.25;
+        m[(0, 1)] = -1.5;
+        m[(1, 0)] = 3.0;
+        m[(1, 1)] = 2.0;
+        let driven = shooting_matrix(&m, None);
+        assert_eq!((driven.rows(), driven.cols()), (2, 2));
+        for i in 0..2 {
+            for j in 0..2 {
+                let eye = if i == j { 1.0 } else { 0.0 };
+                assert_eq!(driven[(i, j)], eye - m[(i, j)], "({i}, {j})");
+            }
         }
-        assert_eq!(sol.times[0], 0.0);
-        assert_eq!(*sol.times.last().unwrap(), period);
-        assert_eq!(sol.records.len(), sol.states.len() - 1);
-        for (k, rec) in sol.records.iter().enumerate() {
-            assert_eq!(rec.t1, sol.times[k + 1]);
-            assert_eq!(rec.h, sol.times[k + 1] - sol.times[k]);
+        let dphi = [7.0, -0.5];
+        let bordered = shooting_matrix(&m, Some((&dphi, 1)));
+        assert_eq!((bordered.rows(), bordered.cols()), (3, 3));
+        for i in 0..2 {
+            for j in 0..2 {
+                assert_eq!(bordered[(i, j)], driven[(i, j)], "({i}, {j})");
+            }
+            assert_eq!(bordered[(i, 2)], -dphi[i]);
         }
-        // The pulse edges force a genuinely non-uniform grid.
-        assert!(!tranvar_num::interp::is_uniform_grid(&sol.times, 1e-9));
-        // Time-weighted ripple mean matches the fixed-grid duty-cycle value.
-        let w = sol.node_waveform(&ckt, b);
-        let mean = tranvar_num::interp::time_weighted_mean(&sol.times, &w);
-        assert!((mean - 0.4).abs() < 0.02, "ripple mean {mean}");
+        assert_eq!([bordered[(2, 0)], bordered[(2, 1)]], [0.0, 1.0]);
+        assert_eq!(bordered[(2, 2)], 0.0);
     }
 
-    /// An adaptive ring-oscillator PSS (autonomous path) is exercised in
-    /// `autonomous.rs`; here we check the driven dispatch helper directly.
+    /// Shooting from DC with no warm-up on a 5 V pulse-driven RC: the first
+    /// Newton update is far longer than `UPDATE_LIMIT`, so the loop must
+    /// clamp it and still converge to the warmed-up orbit.
     #[test]
-    fn integrate_pss_cycle_dispatches_by_mode() {
-        let mut ckt = Circuit::new();
-        let a = ckt.node("a");
-        let b = ckt.node("b");
-        ckt.add_vsource("V1", a, NodeId::GROUND, Waveform::Dc(1.0));
-        ckt.add_resistor("R1", a, b, 1e3);
-        ckt.add_capacitor("C1", b, NodeId::GROUND, 1e-9);
-        let period = 1e-5;
-        let newton = NewtonOptions::default();
-        let x0 = vec![0.0; ckt.n_unknowns()];
+    fn clamped_first_step_still_converges() {
+        let (ckt, _, period) = pulse_rc(5.0);
+        let mut opts = PssOptions::default();
+        opts.n_steps = 64;
+        opts.warmup_cycles = 0;
+        // The unclamped first update from the DC point.
+        let x0 = tranvar_engine::dc::dc_operating_point(&ckt, &DcOptions::default()).unwrap();
+        let (n, method, newton) = (opts.n_steps, opts.method, NewtonOptions::default());
         let mut ws = CycleWorkspace::new();
-        let fixed = PssOptions::default();
-        let cyc =
-            integrate_pss_cycle(&ckt, &mut ws, &x0, 0.0, period, &fixed, &newton, false).unwrap();
-        assert_eq!(cyc.states.len(), fixed.n_steps + 1);
-        let mut adap = PssOptions::default();
-        adap.step_control = StepControl::Adaptive(tranvar_engine::AdaptiveOptions::default());
-        let cyc =
-            integrate_pss_cycle(&ckt, &mut ws, &x0, 0.0, period, &adap, &newton, false).unwrap();
-        // The LTE controller needs far fewer steps on this mild RC.
-        assert!(cyc.states.len() < fixed.n_steps / 2, "{}", cyc.states.len());
-        assert_eq!(*cyc.times.last().unwrap(), period);
+        let cyc = integrate_cycle_with(
+            &ckt, &mut ws, &x0, 0.0, period, n, method, &newton, opts.gmin, true,
+        )
+        .unwrap();
+        let r = vecops::sub(cyc.states.last().unwrap(), &x0);
+        let m = monodromy_threaded(&cyc.records, x0.len(), 1);
+        let first = shooting_matrix(&m, None).lu().unwrap().solve(&r);
+        assert!(vecops::norm_inf(&first) > 2.0 * UPDATE_LIMIT);
+
+        let sol = shooting_pss(&ckt, period, &opts).unwrap();
+        assert!(sol.residual < opts.tol);
+        opts.warmup_cycles = 2;
+        let warm = shooting_pss(&ckt, period, &opts).unwrap();
+        for (u, v) in sol
+            .states
+            .iter()
+            .flatten()
+            .zip(warm.states.iter().flatten())
+        {
+            assert!((u - v).abs() < 1e-8, "{u} vs {v}");
+        }
     }
 
     #[test]
@@ -704,27 +712,20 @@ mod tests {
         assert!(matches!(err, Err(PssError::NotPeriodic { .. })));
     }
 
-    /// A NaN period slips through a `period <= 0.0` test; unchecked, the
-    /// fixed grid fails deep inside Newton and the adaptive grid panics.
+    /// A NaN period slips through a `period <= 0.0` test; unchecked, it
+    /// fails deep inside Newton.
     #[test]
     fn rejects_non_finite_period() {
         let mut ckt = Circuit::new();
         let a = ckt.node("a");
         ckt.add_vsource("V1", a, NodeId::GROUND, Waveform::Dc(1.0));
         ckt.add_capacitor("C1", a, NodeId::GROUND, 1e-9);
-        let lte = StepControl::Adaptive(Default::default());
-        for step_control in [StepControl::Fixed, lte] {
-            let opts = PssOptions {
-                step_control,
-                ..PssOptions::default()
-            };
-            for period in [f64::NAN, f64::INFINITY, 0.0] {
-                let res = shooting_pss(&ckt, period, &opts);
-                assert!(
-                    matches!(res, Err(PssError::BadConfig(_))),
-                    "{period}: {res:?}"
-                );
-            }
+        for period in [f64::NAN, f64::INFINITY, 0.0] {
+            let res = shooting_pss(&ckt, period, &PssOptions::default());
+            assert!(
+                matches!(res, Err(PssError::BadConfig(_))),
+                "{period}: {res:?}"
+            );
         }
     }
 }

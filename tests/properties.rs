@@ -207,8 +207,8 @@ fn random_mismatched_ladder(rng: &mut Rng64, stages: usize) -> Circuit {
 
 /// Session-cached re-solves are bit-identical to fresh per-call solves
 /// (dense backend): one warm `Session` run over a sequence of randomized
-/// circuits reproduces the free-function results byte-for-byte, PSS states
-/// and reports alike.
+/// circuits, then four ring oscillators, reproduces the free-function
+/// results byte-for-byte, PSS states and reports alike.
 #[test]
 fn session_cached_resolves_are_bit_identical_to_fresh() {
     use tranvar::engine::Session;
@@ -241,6 +241,28 @@ fn session_cached_resolves_are_bit_identical_to_fresh() {
                 );
             }
         }
+    }
+    // Oscillators on the same warm session: the autonomous path (warm-up
+    // transient, bordered shooting, bordered LPTV boundary) reuses the
+    // session's workspaces too.
+    let tech = tranvar::circuits::Tech::t013();
+    for (stages, cload) in [(3, 10e-15), (3, 20e-15), (5, 10e-15), (5, 20e-15)] {
+        let ring = tranvar::circuits::RingOsc::new(&tech, stages, cload);
+        let config = PssConfig::Autonomous {
+            period_hint: ring.period_hint,
+            phase_node: ring.stages[0],
+            phase_value: ring.phase_value,
+            opts: ring.osc_options(),
+        };
+        let metrics = [MetricSpec::new("f0", Metric::Frequency)];
+        let fresh = analyze(&ring.circuit, &config, &metrics).unwrap();
+        let cached =
+            tranvar::core::analyze_in(&mut session, &ring.circuit, &config, &metrics).unwrap();
+        assert_eq!(
+            format!("{fresh:?}"),
+            format!("{cached:?}"),
+            "ring {stages} stages, {cload:e} F"
+        );
     }
 }
 

@@ -40,9 +40,12 @@ pub struct MosModel {
     pub cov: f64,
     /// Junction capacitance per width (F/m).
     pub cj: f64,
-    /// Thermal-noise excess factor γ (i²_n = 4kTγg_m).
+    /// Thermal-noise excess factor γ (i²_n = 4kTγg_m). Accepted from
+    /// `.model` cards for deck compatibility; no analysis reads it.
     pub gamma_noise: f64,
     /// Flicker-noise coefficient (dimensionless, scaled by g_m²/(C_ox·W·L·f)).
+    /// Accepted from `.model` cards for deck compatibility; no analysis
+    /// reads it.
     pub kf: f64,
 }
 

@@ -118,12 +118,12 @@ pub fn solve_static_with(
         let mut rnorm = 0.0f64;
         for (i, fi) in asm.f.iter().enumerate() {
             let aug = fi + if i < n_node { gmin * x[i] } else { 0.0 };
-            rnorm = rnorm.max(aug.abs());
+            rnorm = vecops::nan_max(rnorm, aug.abs());
         }
-        let mut dnorm = vecops::norm_inf(&delta);
         if fault::poison_nan(fault::sites::DC_RESIDUAL) {
-            dnorm = f64::NAN;
+            delta[0] = f64::NAN;
         }
+        let dnorm = vecops::norm_inf(&delta);
         // Fail fast on garbage: iterating further on a NaN/Inf residual or
         // update can never converge, it only burns the iteration budget.
         if !dnorm.is_finite() || !rnorm.is_finite() {
@@ -381,5 +381,23 @@ mod tests {
         ckt.add_capacitor("C1", a, NodeId::GROUND, 1e-12);
         let x = dc_operating_point(&ckt, &DcOptions::default()).unwrap();
         assert!(ckt.voltage(&x, a).abs() < 1e-6);
+    }
+
+    #[test]
+    fn nan_source_is_a_typed_error_not_a_nan_state() {
+        let mut ckt = Circuit::new();
+        let a = ckt.node("a");
+        let b = ckt.node("b");
+        ckt.add_vsource("V1", a, NodeId::GROUND, Waveform::Dc(f64::NAN));
+        ckt.add_resistor("R1", a, b, 1e3);
+        ckt.add_resistor("R2", b, NodeId::GROUND, 1e3);
+        // Every homotopy stage sees the NaN and fails; the last one's
+        // detail names the non-finite Newton.
+        let err = dc_operating_point(&ckt, &DcOptions::default()).unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("dc newton produced a non-finite value"),
+            "{err}"
+        );
     }
 }

@@ -69,9 +69,11 @@
 pub mod sites {
     /// Counted: every `JacobianWorkspace::factor`/`factor_owned` call.
     pub const FACTOR: &str = "engine::solver::factor";
-    /// Counted: the residual-norm check in each DC Newton iteration.
+    /// Counted: the convergence-norm check in each DC Newton iteration
+    /// (poisons the update vector before its norm is taken).
     pub const DC_RESIDUAL: &str = "engine::dc::residual";
-    /// Counted: the update-norm check in each transient Newton iteration.
+    /// Counted: the update-norm check in each transient Newton iteration
+    /// (poisons the update vector before its norm is taken).
     pub const TRAN_UPDATE: &str = "engine::tran::update";
     /// Counted: the LTE error-norm evaluation of each adaptive-step verdict
     /// (poisoning it forces a rejection, so a range of hits simulates a

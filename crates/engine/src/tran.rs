@@ -316,7 +316,7 @@ pub struct StepRecord {
     pub lu: FactoredJacobian,
     /// Coupling to the previous state: `B = C₀/h − (1−θ)·G₀`, so that
     /// `∂x₁/∂x₀ = J⁻¹·B`.
-    pub b: Csc<f64>,
+    pub b: Csc,
     /// MOSFET operating points at the accepted state (device-indexed),
     /// captured from the final assembly so sensitivity sources can be built
     /// without re-evaluating any device model
@@ -484,10 +484,10 @@ fn step(
         let lu = st.jws.factor(asm1, theta, 1.0 / h, theta * gmin, n_node)?;
         lu.solve_into(&st.r, &mut st.delta, &mut st.scratch);
         vecops::scale(&mut st.delta, -1.0);
-        let mut dmax = vecops::norm_inf(&st.delta);
         if crate::fault::poison_nan(crate::fault::sites::TRAN_UPDATE) {
-            dmax = f64::NAN;
+            st.delta[0] = f64::NAN;
         }
+        let dmax = vecops::norm_inf(&st.delta);
         // Non-finite guard, once per Newton iteration: a NaN/Inf update can
         // never satisfy the `< vtol` check, so without this the loop would
         // burn `max_iter` iterations and report a misleading NoConvergence.
@@ -1220,6 +1220,27 @@ mod tests {
     }
 
     #[test]
+    fn nan_source_fails_the_step_guard() {
+        let mut ckt = Circuit::new();
+        let a = ckt.node("a");
+        let b = ckt.node("b");
+        ckt.add_vsource("V1", a, NodeId::GROUND, Waveform::Dc(f64::NAN));
+        ckt.add_resistor("R1", a, b, 1e3);
+        ckt.add_capacitor("C1", b, NodeId::GROUND, 1e-6);
+        let mut opts = TranOptions::new(1e-5, 1e-6);
+        // A finite initial state skips DC, so the step guard itself trips.
+        opts.x0 = Some(vec![0.0; ckt.n_unknowns()]);
+        match transient(&ckt, &opts) {
+            Err(EngineError::NonFinite { analysis, .. }) => assert_eq!(analysis, "transient step"),
+            other => panic!("expected NonFinite, got {other:?}"),
+        }
+        // Without it, the DC operating point is the first to see the NaN.
+        opts.x0 = None;
+        let err = transient(&ckt, &opts).unwrap_err();
+        assert!(err.to_string().contains("non-finite"), "{err}");
+    }
+
+    #[test]
     fn be_is_more_damped_than_trap() {
         // LC-ish tank via R-L-C: BE loses amplitude, trapezoidal conserves.
         let mut ckt = Circuit::new();
@@ -1312,7 +1333,7 @@ mod tests {
         .unwrap();
         assert_eq!(cyc.records.len(), 8);
         // Monodromy via records.
-        let mut m = tranvar_num::DMat::<f64>::identity(n);
+        let mut m = tranvar_num::DMat::identity(n);
         for rec in &cyc.records {
             let bm = rec.b.to_dense();
             let mut cols = Vec::new();
@@ -1320,7 +1341,7 @@ mod tests {
                 let col: Vec<f64> = (0..n).map(|i| bm[(i, j)]).collect();
                 cols.push(rec.lu.solve(&col));
             }
-            let mut a = tranvar_num::DMat::<f64>::zeros(n, n);
+            let mut a = tranvar_num::DMat::zeros(n, n);
             for (j, col) in cols.iter().enumerate() {
                 for i in 0..n {
                     a[(i, j)] = col[i];

@@ -101,7 +101,7 @@ pub struct PssSolution {
     /// Per-step factorization records, one per step of the orbit's cycle.
     pub records: Vec<StepRecord>,
     /// Monodromy matrix `∂Φ_T/∂x₀`.
-    pub monodromy: DMat<f64>,
+    pub monodromy: DMat,
     /// Integration scheme used (θ needed by the LPTV source terms).
     pub method: Integrator,
     /// `∂Φ/∂T` — only present for autonomous solutions.
@@ -147,10 +147,10 @@ impl PssSolution {
 ///
 /// The shooting Newton rounds solve it for `[δx₀; δT]`, and the LPTV
 /// periodic solver factors it once per orbit for every noise source.
-pub fn shooting_matrix(m: &DMat<f64>, border: Option<(&[f64], usize)>) -> DMat<f64> {
+pub fn shooting_matrix(m: &DMat, border: Option<(&[f64], usize)>) -> DMat {
     let n = m.rows();
     let nb = n + usize::from(border.is_some());
-    let mut a = DMat::<f64>::zeros(nb, nb);
+    let mut a = DMat::zeros(nb, nb);
     for i in 0..n {
         for j in 0..n {
             a[(i, j)] = -m[(i, j)];
@@ -183,8 +183,8 @@ pub fn shooting_matrix(m: &DMat<f64>, border: Option<(&[f64], usize)>) -> DMat<f
 /// Per-column arithmetic is independent of the chunking, so the result is
 /// bit-for-bit identical for any thread count and to the per-column
 /// sequential reference [`monodromy_seq`].
-pub fn monodromy_threaded(records: &[StepRecord], n: usize, threads: usize) -> DMat<f64> {
-    let mut m = DMat::<f64>::identity(n);
+pub fn monodromy_threaded(records: &[StepRecord], n: usize, threads: usize) -> DMat {
+    let mut m = DMat::identity(n);
     if n == 0 {
         return m;
     }
@@ -228,11 +228,11 @@ pub fn monodromy_threaded(records: &[StepRecord], n: usize, threads: usize) -> D
 /// allocating solve per column per record — the pre-batching behavior,
 /// retained for validation and as the benchmark baseline
 /// (`BENCH_pss.json`).
-pub fn monodromy_seq(records: &[StepRecord], n: usize) -> DMat<f64> {
-    let mut m = DMat::<f64>::identity(n);
+pub fn monodromy_seq(records: &[StepRecord], n: usize) -> DMat {
+    let mut m = DMat::identity(n);
     let mut col = vec![0.0; n];
     for rec in records {
-        let mut next = DMat::<f64>::zeros(n, n);
+        let mut next = DMat::zeros(n, n);
         for j in 0..n {
             for (i, c) in col.iter_mut().enumerate() {
                 *c = m[(i, j)];
@@ -508,8 +508,17 @@ mod tests {
         let sol = shooting_pss(&ckt, 1.0 / freq, &opts).unwrap();
         assert!(sol.residual < 1e-9);
         // |H| at the corner = 1/√2; amplitude of b's waveform should match.
+        // Fundamental amplitude 2·|c₁| of the one-period samples.
         let w = sol.node_waveform(&ckt, b);
-        let amp = tranvar_num::fft::fundamental_amplitude(&w[..w.len() - 1]);
+        let w = &w[..w.len() - 1];
+        let dphi = 2.0 * std::f64::consts::PI / w.len() as f64;
+        let (re, im) = w.iter().enumerate().fold((0.0, 0.0), |(re, im), (i, &v)| {
+            (
+                re + v * (dphi * i as f64).cos(),
+                im - v * (dphi * i as f64).sin(),
+            )
+        });
+        let amp = 2.0 * re.hypot(im) / w.len() as f64;
         assert!((amp - 1.0 / 2.0_f64.sqrt()).abs() < 2e-3, "amplitude {amp}");
     }
 
@@ -561,7 +570,7 @@ mod tests {
     /// with a zero corner.
     #[test]
     fn shooting_matrix_is_i_minus_m_with_optional_border() {
-        let mut m = DMat::<f64>::zeros(2, 2);
+        let mut m = DMat::zeros(2, 2);
         m[(0, 0)] = 0.25;
         m[(0, 1)] = -1.5;
         m[(1, 0)] = 3.0;
@@ -714,6 +723,24 @@ mod tests {
 
     /// A NaN period slips through a `period <= 0.0` test; unchecked, it
     /// fails deep inside Newton.
+    #[test]
+    fn nan_source_is_a_typed_error() {
+        let mut ckt = Circuit::new();
+        let a = ckt.node("a");
+        let b = ckt.node("b");
+        ckt.add_vsource("V1", a, NodeId::GROUND, Waveform::Dc(f64::NAN));
+        ckt.add_resistor("R1", a, b, 1e3);
+        ckt.add_resistor("R2", b, NodeId::GROUND, 1e3);
+        let mut opts = PssOptions::default();
+        opts.n_steps = 8;
+        let err = shooting_pss(&ckt, 1e-6, &opts).unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("dc newton produced a non-finite value"),
+            "{err}"
+        );
+    }
+
     #[test]
     fn rejects_non_finite_period() {
         let mut ckt = Circuit::new();

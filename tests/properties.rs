@@ -582,7 +582,7 @@ fn adaptive_matches_fixed_on_all_demo_circuits() {
 
 /// Deterministic random sparse-ish test matrix with a dominant diagonal,
 /// returned in both CSC and dense forms.
-fn random_system(rng: &mut Rng64, n: usize, density: f64) -> tranvar::num::Csc<f64> {
+fn random_system(rng: &mut Rng64, n: usize, density: f64) -> tranvar::num::Csc {
     let mut t = tranvar::num::Triplets::new(n, n);
     for i in 0..n {
         for j in 0..n {

@@ -125,7 +125,6 @@ fn main() {
         workers: WORKERS,
         queue_depth: 64,
         cache_entries: 64,
-        session_floor: WORKERS,
     })
     .expect("daemon must bind");
     let addr = server.addr();

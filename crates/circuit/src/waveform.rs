@@ -115,11 +115,6 @@ impl Waveform {
         }
     }
 
-    /// Value at `t = 0` (used as the DC operating-point stimulus).
-    pub fn dc_value(&self) -> f64 {
-        self.value(0.0)
-    }
-
     /// Appends every derivative discontinuity ("breakpoint") of the
     /// waveform inside the open interval `(t0, t1)` to `out`.
     ///

@@ -8,8 +8,8 @@
 //!   operating point,
 //! - [`gates`]: CMOS inverter/NAND builders with mismatch annotations,
 //! - [`strongarm`]: the StrongARM clocked comparator (Fig. 10a) with the
-//!   metastability feedback testbench (Fig. 6) and two Monte-Carlo offset
-//!   measurement kernels,
+//!   metastability feedback testbench (Fig. 6) and a bisecting Monte-Carlo
+//!   offset measurement kernel,
 //! - [`logic_path`]: the Fig. 7 shared/disjoint critical-path pair behind
 //!   Table I,
 //! - [`ring_osc`]: the 5-stage ring oscillator of Figs. 11–12,

@@ -15,13 +15,13 @@
 //! Monte-Carlo has no such shortcut: it must either run the feedback
 //! testbench to settling (hundreds of clock cycles — the configuration whose
 //! cost Table II highlights) or bisect a forced offset, re-simulating the
-//! decision per probe. Both are implemented as the MC measurement kernels.
+//! decision per probe. The bisection is the MC measurement kernel here
+//! ([`StrongArm::measure_offset_bisect`]).
 
 use crate::tech::Tech;
 use tranvar_circuit::{Circuit, DeviceId, NodeId, Pulse, Waveform};
 use tranvar_core::{Metric, MetricSpec};
 use tranvar_engine::dc::NewtonOptions;
-use tranvar_engine::measure::settled_mean;
 use tranvar_engine::tran::{transient, TranOptions};
 use tranvar_engine::{EngineError, Integrator};
 use tranvar_pss::PssOptions;
@@ -193,25 +193,6 @@ impl StrongArm {
         // the literature — we report the balancing voltage, matching the
         // sign the feedback testbench settles to.
         Ok(0.5 * (lo + hi))
-    }
-
-    /// Monte-Carlo kernel (paper-faithful, slow variant): run the feedback
-    /// testbench for `n_cycles` clock cycles and average the settled `vos` —
-    /// this is the configuration whose cost makes the comparator row of
-    /// Table II so expensive for Monte-Carlo.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulation failures.
-    pub fn measure_offset_settling(
-        &self,
-        ckt: &Circuit,
-        n_cycles: usize,
-    ) -> Result<f64, EngineError> {
-        let mut opts = TranOptions::new(n_cycles as f64 * self.period, self.period / 512.0);
-        opts.method = Integrator::BackwardEuler;
-        let res = transient(ckt, &opts)?;
-        Ok(settled_mean(ckt, &res, ckt.find_node("vos")?, 0.2))
     }
 }
 

@@ -212,16 +212,6 @@ impl Campaign {
                         start + j,
                         &mut stats,
                     );
-                    if us.poisoned {
-                        // A caught panic may have left the session's cached
-                        // workspaces mid-update; retire it so the chunk's
-                        // remaining solves see clean state.
-                        stats = stats.merged(session.stats());
-                        session = Session::new(SessionOptions {
-                            solver,
-                            threads: inner_threads,
-                        });
-                    }
                     outcomes.push((us.outcome, us.diagnostics));
                 }
                 (outcomes, stats.merged(session.stats()))
@@ -320,10 +310,6 @@ pub struct UniqueSolve {
     pub outcome: Result<(PssSolution, Vec<PeriodicResponse>), CoreError>,
     /// The recorded attempt trail.
     pub diagnostics: SolveDiagnostics,
-    /// A panic was caught; the session may hold half-updated caches and
-    /// must be retired (e.g. [`tranvar_engine::SessionPool::retire`]), not
-    /// reused.
-    pub poisoned: bool,
 }
 
 /// Runs one unique solve (PSS orbit + every unit-parameter response) with
@@ -334,6 +320,13 @@ pub struct UniqueSolve {
 /// fault-injection sites — so results are interchangeable with an
 /// in-process campaign (bit-identical on the dense backend). Structural
 /// work from throwaway backend-switch sessions is merged into `stats`.
+///
+/// A panic anywhere in the ladder (a rung's solve or its fault site) is
+/// caught here and becomes [`CoreError::Panic`], recorded against the rung
+/// that raised it. The panic may have left `session`'s caches mid-update,
+/// so it is retired: its counters are merged into `stats` and `*session`
+/// is replaced by a fresh session with the same options. Callers can keep
+/// using `session` whatever the outcome.
 pub fn solve_unique(
     session: &mut Session,
     base: &Circuit,
@@ -344,18 +337,17 @@ pub fn solve_unique(
     stats: &mut SessionStats,
 ) -> UniqueSolve {
     let mut diagnostics = SolveDiagnostics::new();
-    let mut poisoned = false;
     let mut cur = config.clone();
-    let outcome = run_ladder(
-        TRAN_LADDER,
-        policy.max_attempts,
-        &shooting_opts(config).newton.budget,
-        &mut diagnostics,
-        retryable_core,
-        engine_view,
-        |esc, _diag| {
-            escalate_config(&mut cur, esc);
-            let caught = catch_unwind(AssertUnwindSafe(|| {
+    let caught = catch_unwind(AssertUnwindSafe(|| {
+        run_ladder(
+            TRAN_LADDER,
+            policy.max_attempts,
+            &shooting_opts(config).newton.budget,
+            &mut diagnostics,
+            retryable_core,
+            engine_view,
+            |esc, _diag| {
+                escalate_config(&mut cur, esc);
                 if esc == Escalation::SwitchBackend {
                     // Sessions pin their backend: the rescue runs on a
                     // throwaway session of the flipped one.
@@ -369,20 +361,31 @@ pub fn solve_unique(
                 } else {
                     solve_variant(session, base, solve_overrides, &cur, solve_index)
                 }
-            }));
-            caught.unwrap_or_else(|payload| {
-                poisoned = true;
-                Err(CoreError::Panic {
-                    context: format!("campaign unique solve {solve_index}"),
-                    message: panic_message(payload.as_ref()),
-                })
-            })
-        },
-    );
+            },
+        )
+    }));
+    let outcome = caught.unwrap_or_else(|payload| {
+        let err = CoreError::Panic {
+            context: format!("campaign unique solve {solve_index}"),
+            message: panic_message(payload.as_ref()),
+        };
+        // Every finished rung is on the trail, so the count is the index
+        // of the rung that panicked.
+        let rung = diagnostics.retry_attempts();
+        diagnostics.record(
+            format!("retry[{rung}]:{}", TRAN_LADDER[rung].label()),
+            Some(engine_view(&err)),
+        );
+        *stats = stats.merged(session.stats());
+        *session = Session::new(SessionOptions {
+            solver: session.solver(),
+            threads: session.threads(),
+        });
+        Err(err)
+    });
     UniqueSolve {
         outcome,
         diagnostics,
-        poisoned,
     }
 }
 
@@ -897,6 +900,49 @@ mod tests {
             let sum = res.summary("vout").unwrap();
             assert_eq!((sum.n_ok, sum.n_failed), (2, 1));
             assert!(sum.mean_sigma.is_finite());
+            // The retired session's work still counts: v0 built the two
+            // patterns, and v2 builds them again on the fresh session
+            // (twice the fault-free run's 2).
+            assert_eq!(res.stats.pattern_builds, 4);
+        }
+
+        /// A panic at the retry ladder's own fault site (before the rung's
+        /// solve runs) is caught like a solve panic: a typed outcome whose
+        /// trail ends at the rung that panicked.
+        #[test]
+        fn panic_at_a_retry_rung_is_isolated() {
+            let ckt = divider();
+            let scenarios = vdd_grid(&ckt);
+            let cases = [
+                (
+                    FaultPlan::new().fail(sites::RETRY_ATTEMPT, 0, FaultAction::Panic),
+                    vec!["retry[0]:initial"],
+                ),
+                (
+                    FaultPlan::new()
+                        .fail(sites::RETRY_ATTEMPT, 0, FaultAction::NoConverge)
+                        .fail(sites::RETRY_ATTEMPT, 1, FaultAction::Panic),
+                    vec!["retry[0]:initial", "retry[1]:halve-dt"],
+                ),
+            ];
+            for (plan, trail) in cases {
+                let _guard = plan.install();
+                let res = campaign(&ckt)
+                    .with_retry(RetryPolicy::default())
+                    .with_threads(1)
+                    .run(&ckt, &scenarios)
+                    .unwrap();
+                for oc in &res.outcomes {
+                    assert!(
+                        matches!(oc.result, Err(CoreError::Panic { .. })),
+                        "{}: {:?}",
+                        oc.scenario,
+                        oc.result.as_ref().err()
+                    );
+                    assert_eq!(oc.diagnostics.stages(), trail);
+                    assert!(oc.diagnostics.attempts.iter().all(|a| a.error.is_some()));
+                }
+            }
         }
 
         /// The per-call reference isolates panics the same way.

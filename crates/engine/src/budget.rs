@@ -265,15 +265,6 @@ impl SolveBudget {
         }
     }
 
-    /// Time left until the deadline (`None` when no deadline is configured;
-    /// `Some(ZERO)` once expired). Serving layers use this to derive
-    /// `Retry-After` style hints and to refuse queueing doomed work.
-    pub fn deadline_remaining(&self) -> Option<Duration> {
-        let core = self.core.as_deref()?;
-        let d = core.limits.deadline?;
-        Some(d.saturating_sub(Self::elapsed(core)))
-    }
-
     /// The [`EngineError::BudgetExceeded`] an expired deadline surfaces as,
     /// with live counter values attached. Used by callers that detect expiry
     /// at a coarse boundary (retry ladder, admission queue) rather than

@@ -38,7 +38,6 @@ pub mod fault;
 pub mod mc;
 pub mod measure;
 pub mod par;
-pub mod pool;
 pub mod retry;
 pub mod sens;
 pub mod session;
@@ -51,7 +50,6 @@ pub use dc::{dc_operating_point, DcOptions, NewtonOptions};
 pub use error::EngineError;
 pub use mc::{monte_carlo, monte_carlo_multi, McOptions, McResult};
 pub use par::{chunk_ranges, map_scoped};
-pub use pool::SessionPool;
 pub use retry::{
     is_retryable, Attempt, Escalation, RetryPolicy, SolveDiagnostics, DEADLINE_SHORT_CIRCUIT,
 };

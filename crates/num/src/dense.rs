@@ -522,11 +522,6 @@ pub mod vecops {
         }
     }
 
-    /// Euclidean norm for real vectors.
-    pub fn norm2(x: &[f64]) -> f64 {
-        x.iter().map(|v| v * v).sum::<f64>().sqrt()
-    }
-
     /// Elementwise difference `a - b`.
     pub fn sub(a: &[f64], b: &[f64]) -> Vec<f64> {
         debug_assert_eq!(a.len(), b.len());

@@ -116,11 +116,6 @@ impl CorrelatedNormal {
         CorrelatedNormal { factor: a }
     }
 
-    /// Number of output variables per draw.
-    pub fn dim(&self) -> usize {
-        self.factor.rows()
-    }
-
     /// Draws one correlated sample vector.
     pub fn sample(&self, rng: &mut Rng64) -> Vec<f64> {
         let x = standard_normal_vec(rng, self.factor.cols());

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! tranvar-serve [--addr HOST:PORT] [--workers N] [--queue-depth N]
-//!               [--cache-entries N] [--session-floor N]
+//!               [--cache-entries N]
 //! ```
 //!
 //! With `--features fault-inject` the chaos flags arm the deterministic
@@ -22,7 +22,7 @@ use tranvar_serve::{Server, ServerConfig};
 fn usage() -> ! {
     eprintln!(
         "usage: tranvar-serve [--addr HOST:PORT] [--workers N] [--queue-depth N] \
-         [--cache-entries N] [--session-floor N]{}",
+         [--cache-entries N]{}",
         if cfg!(feature = "fault-inject") {
             " [--fault SITE:INDEX:ACTION]..."
         } else {
@@ -83,7 +83,6 @@ fn main() {
             "--workers" => config.workers = parse_num("--workers", args.next()).max(1),
             "--queue-depth" => config.queue_depth = parse_num("--queue-depth", args.next()),
             "--cache-entries" => config.cache_entries = parse_num("--cache-entries", args.next()),
-            "--session-floor" => config.session_floor = parse_num("--session-floor", args.next()),
             #[cfg(feature = "fault-inject")]
             "--fault" => {
                 let Some(spec) = args.next().as_deref().and_then(parse_fault) else {

@@ -21,10 +21,11 @@
 //!   so queue wait counts; expiry surfaces as the typed
 //!   `engine.budget-exceeded` → `504`, and the deadline-aware retry ladder
 //!   ([`tranvar::engine::retry`]) stops escalating the moment it expires.
-//! - **Panic isolation** ([`server`]): worker panics are caught at the job
-//!   boundary, answered as typed `500`s, and any session that was mid-solve
-//!   is retired from the [`SessionPool`](tranvar::engine::SessionPool) —
-//!   which never drops below its floor.
+//! - **Panic isolation** ([`server`]): each worker thread owns one
+//!   session. A panic inside a solve becomes a typed per-scenario error
+//!   ([`solve_unique`](tranvar::core::solve_unique) replaces the session);
+//!   any other worker panic is caught at the job boundary and answered as a
+//!   typed `500`, and the worker goes on with a fresh session.
 //! - **Solve caching** ([`cache`]): responses are assembled from
 //!   circuit-hash-keyed cached PSS/LPTV solves, so σ-only request variants
 //!   share one solve across requests (the paper's "no additional

@@ -12,11 +12,12 @@
 //! 2. A **worker** pops the job, re-checks the deadline (a request that
 //!    aged out in the queue 504s without touching a session), runs the
 //!    campaign's own per-key solve path ([`tranvar::core::solve_unique`])
-//!    against a checked-out [`SessionPool`] session for every cache-miss
-//!    key, and assembles per-scenario reports. Worker panics are caught at
-//!    the job boundary (PR-6 isolation) and answered as typed 500s;
-//!    sessions that were mid-solve when a panic fired are retired, never
-//!    reused.
+//!    on the worker's own [`Session`] for every cache-miss key, and
+//!    assembles per-scenario reports. A solve panic comes back from
+//!    `solve_unique` as a typed per-scenario error, with the worker's
+//!    session already replaced; any other worker panic is caught at the
+//!    job boundary, answered as a typed 500, and the worker starts over on
+//!    a fresh session. A session that saw a panic is never reused.
 //! 3. **Shutdown** (`POST /shutdown` or [`Server::shutdown`]) stops
 //!    admission, lets workers drain the queue (each job still subject to
 //!    its own deadline), and joins every thread — a clean exit.
@@ -40,7 +41,7 @@ use std::time::Duration;
 use tranvar::core::{scenario_reports, solve_groups, solve_unique, CoreError};
 use tranvar::engine::fault::{self, sites};
 use tranvar::engine::{
-    BudgetLimits, RetryPolicy, SessionOptions, SessionPool, SessionStats, SolveBudget,
+    BudgetLimits, RetryPolicy, Session, SessionOptions, SessionStats, SolveBudget,
 };
 use tranvar::pss::PssOptions;
 use tranvar::TranvarError;
@@ -56,9 +57,6 @@ pub struct ServerConfig {
     pub queue_depth: usize,
     /// Bounded solve-cache capacity (entries; 0 disables caching).
     pub cache_entries: usize,
-    /// Session-pool floor (pool never shrinks below this many live
-    /// sessions even under panic storms).
-    pub session_floor: usize,
 }
 
 impl Default for ServerConfig {
@@ -68,7 +66,6 @@ impl Default for ServerConfig {
             workers: 2,
             queue_depth: 32,
             cache_entries: 64,
-            session_floor: 2,
         }
     }
 }
@@ -86,13 +83,14 @@ struct Job {
 struct State {
     queue: Queue<Job>,
     cache: ServeCache,
-    pool: SessionPool,
     draining: AtomicBool,
     accepted: AtomicU64,
     completed: AtomicU64,
     shed: AtomicU64,
     panics: AtomicU64,
     write_errors: AtomicU64,
+    /// Worker sessions replaced after a solve panic.
+    sessions_retired: AtomicU64,
     workers_alive: AtomicUsize,
     workers_busy: AtomicUsize,
     request_counter: AtomicUsize,
@@ -126,19 +124,13 @@ impl Server {
         let state = Arc::new(State {
             queue: Queue::new(config.queue_depth),
             cache: ServeCache::new(config.cache_entries),
-            pool: SessionPool::new(
-                SessionOptions {
-                    threads: 1,
-                    ..SessionOptions::default()
-                },
-                config.session_floor,
-            ),
             draining: AtomicBool::new(false),
             accepted: AtomicU64::new(0),
             completed: AtomicU64::new(0),
             shed: AtomicU64::new(0),
             panics: AtomicU64::new(0),
             write_errors: AtomicU64::new(0),
+            sessions_retired: AtomicU64::new(0),
             workers_alive: AtomicUsize::new(config.workers),
             workers_busy: AtomicUsize::new(0),
             request_counter: AtomicUsize::new(0),
@@ -375,8 +367,10 @@ fn readyz(state: &State) -> Response {
         num("cache_entries", state.cache.len() as f64),
         num("cache_hits", state.cache.hits() as f64),
         num("cache_misses", state.cache.misses() as f64),
-        num("sessions_live", state.pool.live() as f64),
-        num("sessions_retired", state.pool.retired() as f64),
+        num(
+            "sessions_retired",
+            state.sessions_retired.load(Ordering::SeqCst) as f64,
+        ),
     ])
     .to_string();
     Response::json(if draining { 503 } else { 200 }, body)
@@ -395,15 +389,26 @@ fn worker_loop(state: &Arc<State>, worker_index: usize) {
     #[cfg(feature = "fault-inject")]
     let _fault_guard = fault::adopt(state.plan.clone());
 
+    // Inner analyses stay single-threaded: the parallelism is across
+    // workers.
+    let new_session = || {
+        Session::new(SessionOptions {
+            threads: 1,
+            ..SessionOptions::default()
+        })
+    };
+    let mut session = new_session();
     while let Some(mut job) = state.queue.pop() {
         state.workers_busy.fetch_add(1, Ordering::SeqCst);
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             // The worker-keyed site: `Stall` parks this worker here (its
             // job waits with it); `Panic` exercises the isolation below.
             let _ = fault::request_fault(sites::SERVE_WORKER, worker_index);
-            handle(state, &job)
+            handle(state, &job, &mut session)
         }));
         let resp = outcome.unwrap_or_else(|payload| {
+            // The panic may have left the session mid-update.
+            session = new_session();
             state.panics.fetch_add(1, Ordering::SeqCst);
             let err = TranvarError::from(CoreError::Panic {
                 context: format!("serve request {}", job.request_index),
@@ -429,7 +434,7 @@ fn typed_error_response(err: &TranvarError) -> Response {
     )
 }
 
-fn handle(state: &State, job: &Job) -> Response {
+fn handle(state: &State, job: &Job, session: &mut Session) -> Response {
     let req = &job.req;
     // Request-level injection: panic at request i / synthetic typed errors.
     if let Some(e) = fault::request_fault(sites::SERVE_REQUEST, job.request_index) {
@@ -466,30 +471,28 @@ fn handle(state: &State, job: &Job) -> Response {
             solves.push(Err(CoreError::from(e)));
             continue;
         }
-        let mut session = state.pool.checkout();
-        let mut stats = SessionStats::default();
         let unique = solve_unique(
-            &mut session,
+            session,
             &req.circuit,
             key,
             &config,
             &policy,
             solve_index,
-            &mut stats,
+            &mut SessionStats::default(),
         );
-        if unique.poisoned {
-            // A caught panic may have left half-updated session caches.
-            state.pool.retire(session);
-        } else {
-            state.pool.give_back(session);
-        }
         match unique.outcome {
             Ok(data) => {
                 let data = Arc::new(data);
                 state.cache.insert(digest, data.clone());
                 solves.push(Ok(data));
             }
-            Err(e) => solves.push(Err(e)),
+            Err(e) => {
+                // `solve_unique` has already replaced the session.
+                if matches!(e, CoreError::Panic { .. }) {
+                    state.sessions_retired.fetch_add(1, Ordering::SeqCst);
+                }
+                solves.push(Err(e));
+            }
         }
     }
 

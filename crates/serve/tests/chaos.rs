@@ -3,12 +3,12 @@
 //!
 //! Each test installs a [`FaultPlan`] *before* starting its server so the
 //! workers adopt it, then drives the failure surface over real sockets:
-//! a concurrent request storm with an injected worker panic, deadline
-//! expiry via the pinned mock clock, and a stalled worker that forces
-//! queueing and load shedding. Throughout: every connection receives a
-//! typed status (zero dropped connections), `/readyz` counters stay
-//! accurate, the session pool never dips below its floor, and shutdown
-//! drains cleanly.
+//! a concurrent request storm with an injected worker panic, a panic
+//! inside a solve, deadline expiry via the pinned mock clock, and a
+//! stalled worker that forces queueing and load shedding. Throughout:
+//! every connection receives a typed status (zero dropped connections),
+//! `/readyz` counters stay accurate, no worker is lost to a panic, and
+//! shutdown drains cleanly.
 #![cfg(feature = "fault-inject")]
 
 mod common;
@@ -76,7 +76,6 @@ fn storm_panic_and_deadline_expiry_all_get_typed_statuses() {
         workers: 3,
         queue_depth: 64,
         cache_entries: 16,
-        session_floor: 2,
     })
     .unwrap();
     let addr = server.addr();
@@ -109,11 +108,7 @@ fn storm_panic_and_deadline_expiry_all_get_typed_statuses() {
     assert!(r.body.contains("injected panic"), "{}", r.body);
     let ready = get(addr, "/readyz");
     assert_eq!(counter(&ready, "panics"), 1);
-    assert!(
-        counter(&ready, "sessions_live") >= 2,
-        "pool dipped below floor: {}",
-        ready.body
-    );
+    assert_eq!(counter(&ready, "workers_alive"), 3, "{}", ready.body);
 
     // ── Phase C: solve ordinal 8 pins the clock; the deadline budget
     // surfaces the genuine BudgetExceeded path as a typed 504. ──
@@ -146,7 +141,6 @@ fn stalled_worker_forces_queueing_shedding_and_recovers_on_release() {
         workers: 1,
         queue_depth: 1,
         cache_entries: 16,
-        session_floor: 1,
     })
     .unwrap();
     let addr = server.addr();
@@ -210,7 +204,6 @@ fn injected_solver_failures_stay_typed_and_uncached() {
         workers: 1,
         queue_depth: 8,
         cache_entries: 16,
-        session_floor: 1,
     })
     .unwrap();
     let addr = server.addr();
@@ -229,6 +222,41 @@ fn injected_solver_failures_stay_typed_and_uncached() {
     assert_eq!(r.status, 200, "body: {}", r.body);
     let ready = get(addr, "/readyz");
     assert_eq!(counter(&ready, "cache_entries"), 1);
+
+    assert_eq!(post(addr, "/shutdown", "").status, 200);
+    server.join();
+    drop(guard);
+}
+
+/// A panic inside a solve is caught by `solve_unique` itself: the request
+/// gets a typed 500, the panic never reaches the job boundary, and the
+/// same worker serves the next request on its replacement session.
+#[test]
+fn solve_panic_is_typed_and_the_worker_keeps_serving() {
+    let guard = FaultPlan::new()
+        .fail(sites::SCENARIO, 0, FaultAction::Panic)
+        .install();
+
+    let server = Server::start(ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        workers: 1,
+        queue_depth: 8,
+        cache_entries: 16,
+    })
+    .unwrap();
+    let addr = server.addr();
+
+    let r = post(addr, "/analyze", &analyze_body(1000.0, None));
+    assert_eq!(r.status, 500, "body: {}", r.body);
+    assert!(r.body.contains("\"code\":\"core.panic\""), "{}", r.body);
+
+    let r = post(addr, "/analyze", &analyze_body(1000.0, None));
+    assert_eq!(r.status, 200, "body: {}", r.body);
+    let ready = get(addr, "/readyz");
+    assert_eq!(counter(&ready, "sessions_retired"), 1, "{}", ready.body);
+    assert_eq!(counter(&ready, "panics"), 0, "{}", ready.body);
+    assert_eq!(counter(&ready, "cache_entries"), 1, "{}", ready.body);
+    assert_eq!(counter(&ready, "workers_alive"), 1, "{}", ready.body);
 
     assert_eq!(post(addr, "/shutdown", "").status, 200);
     server.join();

@@ -17,7 +17,6 @@ fn start(workers: usize, queue_depth: usize) -> Server {
         workers,
         queue_depth,
         cache_entries: 16,
-        session_floor: 1,
     })
     .expect("server must bind")
 }

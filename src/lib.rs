@@ -137,11 +137,12 @@
 //!   makes a single attempt unless the caller passes a policy (e.g.
 //!   [`core::Campaign::with_retry`]), so results stay bit-identical unless
 //!   you opt in.
-//! - **Panic isolation** — [`core::Campaign`] catches worker panics,
-//!   reports them as typed [`core::CoreError::Panic`] outcomes for the
-//!   affected scenarios, retires the poisoned session, and keeps the
-//!   rest of the campaign running; aggregates over zero successes are
-//!   well-defined rather than NaN.
+//! - **Panic isolation** — [`core::solve_unique`] (the per-solve path of
+//!   [`core::Campaign`] and the daemon) catches a solve's panic, reports
+//!   it as a typed [`core::CoreError::Panic`] outcome for the affected
+//!   scenarios, replaces the session that saw it, and lets the rest of
+//!   the campaign run; aggregates over zero successes are well-defined
+//!   rather than NaN.
 //!
 //! All of it is testable deterministically: the `fault-inject` cargo
 //! feature enables `engine::fault`, which forces singular/non-finite
